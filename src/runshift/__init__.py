@@ -33,10 +33,8 @@ from .decay import (
     correlation_asymptotic,
     decay_table,
     iterates_from_run,
-    renewal_deficits,
     renewal_series,
     stretched_tail_report,
-    transfer_iterates,
 )
 from .oracle import (
     RenewalChain,
@@ -57,7 +55,6 @@ from .potential import (
     SymbolicPoint,
     check_normalization,
     eigenfunction,
-    eigenmeasure_cylinder,
     equilibrium_cylinder,
     equilibrium_normalization,
     equilibrium_table,
@@ -90,6 +87,7 @@ from .sequences import (
     decay_profile,
     inverse_design,
     make_eta,
+    parse_family,
     sequence_table,
     verify_design_shift,
 )

@@ -32,12 +32,12 @@ from .renorm import (
     residual,
 )
 from .sequences import (
-    EtaSequence,
     NotSummableError,
     ToleranceError,
     decay_profile,
     inverse_design,
     make_eta,
+    parse_family,
     sequence_table,
     verify_design_shift,
 )
@@ -79,18 +79,6 @@ def _write_table(args, default_name: str, meta: dict, columns: dict) -> str:
     return path
 
 
-def _parse_family(spec: str) -> tuple[str, dict]:
-    name, _, arg = spec.partition(":")
-    name = name.lower()
-    if not arg:
-        raise ValueError(f"family spec {spec!r} needs a parameter, e.g. power:3")
-    value = float(arg)
-    key = {"power": "gamma", "stretched": "theta", "geometric": "ratio"}.get(name)
-    if key is None:
-        raise ValueError(f"unknown family {name!r}")
-    return name, {key: value}
-
-
 def _parse_digits(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
@@ -120,8 +108,7 @@ def _read_coeffs(path: str) -> WaltersCoefficients:
 
 
 def _cmd_eta(args) -> int:
-    family, params = _parse_family(args.family)
-    eta = make_eta(family, params, args.nmax)
+    eta = make_eta(*parse_family(args.family), args.nmax)
     table = sequence_table(eta)
     meta = {"command": "eta", "family": args.family, "nmax": args.nmax}
     path = _write_table(args, "eta.csv", meta, table)
@@ -200,7 +187,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    family, params = _parse_family(args.family)
+    family, params = parse_family(args.family)
     nmax = args.nmax or max(args.qmax + 2, args.oracle_trunc + 1, 64)
     if family == "geometric":
         nmax = min(nmax, 1024)
@@ -227,15 +214,13 @@ def _cmd_inverse(args) -> int:
     eta = inverse_design(fn, args.qmax, label=label)
     delta, rel = verify_design_shift(eta, fn, range(1, min(args.qmax, 32) + 1))
     q = np.arange(1, args.qmax + 1)
-    d = np.array([fn(int(v)) for v in q])
-    d_next = np.array([fn(int(v) + 1) for v in q])
-    dq = np.array([eta.double_tail(int(v)) for v in q])
+    d = np.array([fn(v) for v in range(1, args.qmax + 2)])  # d_q for q = 1..qmax+1
+    dq = eta.double_tail_grid()[1 : args.qmax + 1]
     meta = {"command": "inverse", "target": args.target, "qmax": args.qmax,
             "shift": delta, "max_rel_err": rel}
     path = _write_table(args, "inverse.csv", meta,
-                        {"q": q, "d": d, "eta": eta.values[: args.qmax],
-                         "D": dq, "d_shift": d_next,
-                         "rel_err": np.abs(dq - d_next) / d_next})
+                        {"q": q, "d": d[:-1], "eta": eta.values[: args.qmax],
+                         "D": dq, "d_shift": d[1:], "rel_err": np.abs(dq - d[1:]) / d[1:]})
     print(f"wrote {path} (shift delta={delta}, max rel err {rel!r})")
     return 0
 
@@ -243,7 +228,8 @@ def _cmd_inverse(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="runshift",
         description="Run-structure thermodynamics on the binary shift: "
@@ -321,12 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_cmd_inverse)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str], commands: dict) -> list[str]:
     """Strip --config PATH anywhere in argv and fold its key=value entries
-    in right after the subcommand, so explicit flags override them."""
+    in right after the subcommand, so explicit flags override them.  An
+    entry for a flag that takes no value reads key=true or key=false."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -334,22 +321,29 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
+    command = commands.get(rest[0]) if rest else None
     extra: list[str] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            extra += [f"--{key.strip().replace('_', '-')}", value.strip()]
+            key, _, value = (part.strip() for part in line.partition("="))
+            flag = f"--{key.replace('_', '-')}"
+            if command is None or command.get_default(key.replace("-", "_")) is not False:
+                extra += [flag, value]
+            elif value.lower() not in ("true", "false"):
+                raise ValueError(f"{path}: {key} is a flag; set {key}=true or {key}=false")
+            elif value.lower() == "true":
+                extra.append(flag)
     return rest[:1] + extra + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        argv = _apply_config(argv)
+        argv = _apply_config(argv, commands)
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)

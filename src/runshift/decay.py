@@ -36,8 +36,6 @@ from .sequences import EtaSequence
 __all__ = [
     "RenewalSeries",
     "renewal_series",
-    "transfer_iterates",
-    "renewal_deficits",
     "iterates_from_run",
     "correlation_asymptotic",
     "stretched_tail_report",
@@ -74,7 +72,7 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
     if qmax + 1 > eta.n_max:
         raise ValueError(f"qmax={qmax} needs n_max >= {qmax + 1}")
     w = eta.W()
-    t = eta._t_grid  # t[m-1] = T(m)
+    t = eta.tail_grid()  # t[m-1] = T(m)
     p = eta.values[:qmax] / w
     cum = np.cumsum(p)
     tail_terms = t[1 : qmax + 1] / w
@@ -92,17 +90,6 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
     return RenewalSeries(eta, qmax, w, p, tail_terms, forcing, iterates, deficits)
 
 
-def transfer_iterates(eta: EtaSequence, qmax: int) -> np.ndarray:
-    """A_q for q = 1..qmax: q-step transfer iterates of the 0-indicator
-    at a unit leading run."""
-    return renewal_series(eta, qmax).iterates
-
-
-def renewal_deficits(eta: EtaSequence, qmax: int) -> np.ndarray:
-    """V_q = 1/2 - A_q for q = 1..qmax, solved by its own recursion."""
-    return renewal_series(eta, qmax).deficits
-
-
 def iterates_from_run(
     eta: EtaSequence, s: int, qmax: int, series: RenewalSeries | None = None
 ) -> np.ndarray:
@@ -114,7 +101,7 @@ def iterates_from_run(
         raise ValueError("run length s must be at least 1")
     if series is None or series.qmax < qmax - 1:
         series = renewal_series(eta, max(qmax - 1, 1))
-    t = eta._t_grid
+    t = eta.tail_grid()
     if s + qmax > eta.n_max + 1:
         raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
     ts = t[s - 1]
@@ -132,10 +119,15 @@ def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):
     """Predicted order D(q) of the correlation at lag q (or at each lag of
     an array).  The sign of the true correlation is a matter for the
     oracle; this is the magnitude scale only, and it is not sharp for
-    geometric weights where the correlation vanishes exactly."""
+    geometric weights where the correlation vanishes exactly.  Lags up to
+    n_max are read from the double-tail grid."""
     if np.isscalar(q):
         return eta.double_tail(int(q), tol)
-    return np.array([eta.double_tail(int(v), tol) for v in np.asarray(q)])
+    qs = np.asarray(q, dtype=int)
+    if qs.size and 0 <= qs.min() and qs.max() <= eta.n_max:
+        eta.double_tail(int(qs.min()), tol)  # the largest certified error
+        return eta.double_tail_grid()[qs]
+    return np.array([eta.double_tail(int(v), tol) for v in qs])
 
 
 def stretched_tail_report(eta: EtaSequence, ms) -> dict:

@@ -59,9 +59,7 @@ def build_chain(eta: EtaSequence, M: int, eps_trunc: float | None = None) -> Ren
     """Build the truncated chain, rejecting M too small for eps_trunc."""
     if M < 2:
         raise ValueError("truncation level M must be at least 2")
-    cont, sw = eta.ratio_arrays(M)
-    cont = cont.copy()
-    sw = sw.copy()
+    cont, sw = eta.ratio_arrays(M)  # fresh arrays, not views of the tail grid
     cont[M - 1] = 0.0
     sw[M - 1] = 1.0
     eps = eta.double_tail(M) / eta.first_moment()
@@ -70,10 +68,10 @@ def build_chain(eta: EtaSequence, M: int, eps_trunc: float | None = None) -> Ren
             f"truncation at M={M} leaves relative tail mass {eps:.3g} > {eps_trunc:.3g}"
         )
     if M <= eta.n_max:
-        t = eta._t_grid[:M]
+        t = eta.tail_grid()[:M]
     elif isinstance(eta.tail_model, GeometricTail):
         # T(m) = T(1) ratio^(m-1), exact at any m
-        t = eta._t_grid[0] * eta.tail_model.ratio ** np.arange(M)
+        t = eta.tail(1) * eta.tail_model.ratio ** np.arange(M)
     else:
         raise ToleranceError(f"truncation M={M} needs n_max >= {M}")
     row = t / (2.0 * t.sum())
@@ -97,21 +95,26 @@ def correlation(chain: RenewalChain, qs) -> np.ndarray:
     the stationary mass restricted to symbol 0 (cost O(q M)); C(0) = 1/4.
     The truncation bias is at most 2 * eps_trunc.  Scalar in, scalar out.
     """
-    scalar = np.isscalar(qs)
+    u = chain.stationary.copy()
+    u[1, :] = 0.0
+    out = _zero_mass_sweep(chain, u, qs) - 0.25
+    return float(out[0]) if np.isscalar(qs) else out
+
+
+def _zero_mass_sweep(chain: RenewalChain, u: np.ndarray, qs) -> np.ndarray:
+    """Mass on symbol 0 after each lag of qs, propagating u once."""
     qs = np.asarray(list(np.atleast_1d(qs)), dtype=int)
     if np.any(qs < 0):
         raise ValueError("lags must be nonnegative")
     wanted = {int(q): i for i, q in enumerate(qs)}
     out = np.empty(qs.size)
-    u = chain.stationary.copy()
-    u[1, :] = 0.0
     if 0 in wanted:
-        out[wanted[0]] = u[0].sum() - 0.25
+        out[wanted[0]] = u[0].sum()
     for q in range(1, int(qs.max(initial=0)) + 1):
         u = step(chain, u)
         if q in wanted:
-            out[wanted[q]] = u[0].sum() - 0.25
-    return float(out[0]) if scalar else out
+            out[wanted[q]] = u[0].sum()
+    return out
 
 
 def occupation_probability(chain: RenewalChain, start: tuple[int, int], q: int) -> float:
@@ -129,27 +132,18 @@ def occupation_sweep(chain: RenewalChain, start: tuple[int, int], qs) -> np.ndar
     sym, m = start
     if sym not in (0, 1) or not 1 <= m <= chain.M:
         raise ValueError(f"start state {start} outside (symbol, 1..{chain.M})")
-    qs = np.asarray(list(np.atleast_1d(qs)), dtype=int)
-    wanted = {int(q): i for i, q in enumerate(qs)}
-    out = np.empty(qs.size)
     u = np.zeros((2, chain.M))
     u[sym, m - 1] = 1.0
-    if 0 in wanted:
-        out[wanted[0]] = u[0].sum()
-    for q in range(1, int(qs.max(initial=0)) + 1):
-        u = step(chain, u)
-        if q in wanted:
-            out[wanted[q]] = u[0].sum()
-    return out
+    return _zero_mass_sweep(chain, u, qs)
 
 
 def cylinder_probability(chain: RenewalChain, q: int) -> float:
     """Stationary probability of q consecutive zeros,
-    sum_m T(m+q-1) / (2 sum_{j<=M} T(j))."""
+    sum_{m>=q} T(m) / (2 sum_{j<=M} T(j)), from the chain's own stationary
+    law (which covers every m <= M, also past the sequence's n_max)."""
     if not 1 <= q <= chain.M:
         raise ValueError(f"need 1 <= q <= M={chain.M}")
-    t = chain.eta._t_grid[: chain.M]
-    return float(t[q - 1 :].sum() / (2.0 * t.sum()))
+    return float(chain.stationary[0, q - 1 :].sum())
 
 
 def stationarity_defect(chain: RenewalChain) -> float:

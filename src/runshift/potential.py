@@ -38,7 +38,6 @@ __all__ = [
     "ONE_THEN_ZEROS",
     "potential_value",
     "eigenfunction",
-    "eigenmeasure_cylinder",
     "equilibrium_cylinder",
     "equilibrium_normalization",
     "zero_cylinder_mass",
@@ -153,18 +152,19 @@ def eigenfunction(
     scale = eta.eta(n) ** beta
     if lam == 1.0:
         series = eta.powered_tail(n + 1, beta)
-        err = eta._pow_cache[float(beta)][1] if beta != 1.0 else eta._far[1]
+        err = eta.tail_error(beta)
     else:
         series = 0.0
         damp = 1.0
         terms = eta.values[n:] ** beta
+        tails = eta.tail_grid(beta)
         err = math.inf
         floor = (tol if tol is not None else 1e-13) * scale
         for j in range(1, eta.n_max - n + 1):
             damp /= lam
             series += terms[j - 1] * damp
             # remainder <= lam^-j * sum_{i > n+j} eta_i^beta
-            err = damp * eta.powered_tail(n + j + 1, beta)
+            err = damp * tails[n + j]
             if err <= floor:
                 break
     value = 1.0 + series / scale
@@ -174,11 +174,6 @@ def eigenfunction(
             f"raise n_max for {tol:g}"
         )
     return value
-
-
-def eigenmeasure_cylinder(q: int, eta: EtaSequence) -> float:
-    """Mass eta_q that the dual eigenmeasure gives the run-q cylinder."""
-    return eta.eta(q)
 
 
 def equilibrium_normalization(eta: EtaSequence, tol: float | None = None) -> float:
@@ -203,12 +198,17 @@ def equilibrium_cylinder(
 def zero_cylinder_mass(eta: EtaSequence) -> float:
     """Normalized equilibrium mass of the 0-cylinder, as a cylinder sum.
 
-    Adds the stored masses T(q)/Z for q <= n_max and the certified
-    remainder D(n_max)/Z; the result is 1/2 by 0/1 symmetry.
+    The masses T(q) of all run cylinders add up to D(0), read from the
+    double-tail grid.  The normalization Z = 2 sum_n n eta_n is summed here
+    directly from the weights, an independent route to the same number, so
+    the result checks the value 1/2 of 0/1 symmetry instead of restating it.
     """
-    stored = float(np.sum(eta._t_grid[: eta.n_max][::-1]))
-    total = stored + eta.double_tail(eta.n_max)
-    return total / equilibrium_normalization(eta)
+    cut = eta.n_max + 1
+    moment = float(np.sum((eta.values * np.arange(1.0, cut))[::-1]))
+    if eta.tail_model is not None:
+        s0, w1 = eta.tail_model.sum_tail(cut), eta.tail_model.weighted_tail(cut)
+        moment += 0.5 * (cut * (s0[0] + s0[1]) + w1[0] + w1[1])
+    return eta.double_tail(0) / (2.0 * moment)
 
 
 def jacobian(point: SymbolicPoint, eta: EtaSequence) -> float:
@@ -300,7 +300,7 @@ def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:
         raise ValueError(f"qmax={qmax} exceeds n_max={eta.n_max}")
     q = np.arange(1, qmax + 1)
     rho = eta.values[:qmax]
-    mu_raw = eta._t_grid[:qmax]
+    mu_raw = eta.tail_grid()[:qmax]
     z = equilibrium_normalization(eta)
     r = mu_raw / rho
     j_l = np.full(qmax, np.nan)

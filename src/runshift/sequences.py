@@ -6,7 +6,8 @@ summable sequence eta_1, eta_2, ...  This module provides:
 
 * analytic families (power n^-gamma, stretched exp(-n^theta), geometric
   ratio^(n-1)) evaluated to a finite cutoff, together with tail models that
-  certify the truncated remainders by integral brackets or closed forms;
+  certify the truncated remainders by integral brackets or closed forms,
+  all named in one registry, FAMILIES;
 * custom finite sequences, optionally dominated by an explicit bound;
 * tail sums T(m) = sum_{n>=m} eta_n, double tails
   D(q) = sum_{m>q} (m-q) eta_m, powered sums W(beta) = sum_n eta_n^beta,
@@ -17,7 +18,8 @@ summable sequence eta_1, eta_2, ...  This module provides:
 Series are accumulated smallest-terms-first (one cumulative sum from the
 far end), so T(m) = eta_m + T(m+1) holds exactly in floating point and the
 certified error of a reported value is the analytic bracket width, not
-accumulated rounding.
+accumulated rounding.  The double tails come from the same grid by
+D(q) = sum_{j>q} T(j): one more far-end cumulative sum gives every D(q).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -34,6 +37,9 @@ __all__ = [
     "EtaSequence",
     "NotSummableError",
     "ToleranceError",
+    "Family",
+    "FAMILIES",
+    "parse_family",
     "make_eta",
     "inverse_design",
     "verify_design_shift",
@@ -67,7 +73,9 @@ class TailModel:
     sum_{n>=m} eta_n and sum_{n>=m} (n-m) eta_n.  For monotone families the
     brackets come from integral comparison; for geometric and target-profile
     models they are exact (lo == hi).  ``powered(beta)`` returns the model
-    for eta_n^beta where that is available.
+    for eta_n^beta where that is available.  ``value(n)`` gives eta_n at an
+    index or, for the analytic families, at an array of indices; make_eta
+    takes the stored values from it.
     """
 
     def sum_tail(self, m: int) -> tuple[float, float]:
@@ -96,7 +104,7 @@ class PowerTail(TailModel):
     scale: float = 1.0
 
     def value(self, n):
-        return self.scale * float(n) ** -self.gamma
+        return self.scale * n**-self.gamma
 
     def _integral(self, x):
         # int_x^inf scale * t^-gamma dt
@@ -137,7 +145,7 @@ class StretchedTail(TailModel):
     scale: float = 1.0
 
     def value(self, n):
-        return self.scale * math.exp(-self.rate * float(n) ** self.theta)
+        return self.scale * np.exp(-self.rate * n**self.theta)
 
     def _integral(self, x):
         # int_x^inf scale * exp(-rate t^theta) dt, by substituting y = rate t^theta
@@ -273,6 +281,8 @@ class EtaSequence:
     tail_model: TailModel | None = None
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    # beta -> (read-only tail grid, certified half-width of its entries)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -292,18 +302,48 @@ class EtaSequence:
 
     # -- tails ----------------------------------------------------------
 
-    @cached_property
-    def _far(self) -> tuple[float, float]:
-        """(mid, half-width) of the tail sum beyond n_max."""
-        if self.tail_model is None:
-            return 0.0, math.inf
-        return _bracket(*self.tail_model.sum_tail(self.n_max + 1))
+    def _tail_grid(self, beta: float) -> tuple[np.ndarray, float]:
+        key = float(beta)
+        if key not in self._grids:
+            far = (0.0, math.inf)
+            if self.tail_model is not None:
+                far = _bracket(*self.tail_model.powered(key).sum_tail(self.n_max + 1))
+            terms = self.values if key == 1.0 else self.values**key
+            acc = np.cumsum(np.append(terms, far[0])[::-1])
+            acc.flags.writeable = False
+            self._grids[key] = (acc[::-1], far[1])
+        return self._grids[key]
+
+    def tail_grid(self, beta: float = 1.0) -> np.ndarray:
+        """sum_{n>=m} eta_n^beta for m = 1..n_max+1 at index m-1, read-only.
+
+        One cached cumulative sum from the far end; at beta = 1 these are
+        the tails T(m), and T(m) = eta_m + T(m+1) holds exactly.
+        """
+        return self._tail_grid(beta)[0]
+
+    def tail_error(self, beta: float = 1.0) -> float:
+        """Certified error of each entry of tail_grid(beta): the half-width
+        of the tail model's bracket beyond n_max (inf without a model)."""
+        return self._tail_grid(beta)[1]
 
     @cached_property
-    def _t_grid(self) -> np.ndarray:
-        """T(m) for m = 1..n_max+1, accumulated from the far end."""
-        arr = np.concatenate([self.values, [self._far[0]]])
-        return np.cumsum(arr[::-1])[::-1]
+    def _double_grid(self) -> tuple[np.ndarray, float]:
+        """(D(q) for q = 0..n_max, half-width of the weighted far bracket)."""
+        w1 = (0.0, math.inf)
+        if self.tail_model is not None:
+            w1 = _bracket(*self.tail_model.weighted_tail(self.n_max + 1))
+        # D(q) = sum_{j>q} T(j), with D(n_max) = T(n_max+1) + weighted far tail
+        terms = self.tail_grid().copy()
+        terms[-1] += w1[0]
+        acc = np.cumsum(terms[::-1])
+        acc.flags.writeable = False
+        return acc[::-1], w1[1]
+
+    def double_tail_grid(self) -> np.ndarray:
+        """D(q) for q = 0..n_max at index q, read-only: one far-end cumulative
+        sum of T(1..n_max) on top of the tail model's D(n_max)."""
+        return self._double_grid[0]
 
     def eta(self, n: int) -> float:
         """eta_n; beyond n_max only analytic families can answer."""
@@ -313,14 +353,14 @@ class EtaSequence:
             return float(self.values[n - 1])
         if self.tail_model is None:
             raise ToleranceError(f"eta_{n} is beyond the stored cutoff {self.n_max}")
-        return self.tail_model.value(n)
+        return float(self.tail_model.value(n))
 
     def tail(self, m: int, tol: float | None = None) -> float:
         """T(m) = sum_{n>=m} eta_n with certified error <= tol when given."""
         if m < 1:
             raise ValueError("indices start at 1")
         if m <= self.n_max + 1:
-            val, err = float(self._t_grid[m - 1]), self._far[1]
+            val, err = float(self.tail_grid()[m - 1]), self.tail_error()
         elif self.tail_model is None:
             val, err = 0.0, math.inf
         else:
@@ -330,27 +370,13 @@ class EtaSequence:
 
     def W(self, beta: float = 1.0, tol: float | None = None) -> float:
         """W(beta) = sum_n eta_n^beta."""
-        if beta == 1.0:
-            return self.tail(1, tol)
         return self.powered_tail(1, beta, tol)
-
-    @cached_property
-    def _pow_cache(self) -> dict:
-        return {}
 
     def powered_tail(self, m: int, beta: float, tol: float | None = None) -> float:
         """sum_{n>=m} eta_n^beta with certified error, for m <= n_max + 1."""
         if beta == 1.0:
             return self.tail(m, tol)
-        key = float(beta)
-        if key not in self._pow_cache:
-            if self.tail_model is None:
-                far = (0.0, math.inf)
-            else:
-                far = _bracket(*self.tail_model.powered(beta).sum_tail(self.n_max + 1))
-            arr = np.concatenate([self.values**beta, [far[0]]])
-            self._pow_cache[key] = (np.cumsum(arr[::-1])[::-1], far[1])
-        grid, err = self._pow_cache[key]
+        grid, err = self._tail_grid(beta)
         if not 1 <= m <= self.n_max + 1:
             raise ValueError(f"powered tails available for m <= {self.n_max + 1}")
         _check_tol(err, tol, f"sum eta^{beta} from {m}")
@@ -360,17 +386,10 @@ class EtaSequence:
         """D(q) = sum_{m>q} (m-q) eta_m = sum_{s>=1} sum_{k>=0} eta_{k+q+s}."""
         if q < 0:
             raise ValueError("q must be nonnegative")
-        cut = self.n_max + 1
-        if q + 1 <= self.n_max:
-            w = np.arange(1.0, self.n_max - q + 1.0)
-            stored = float(np.sum((self.values[q:] * w)[::-1]))
-            if self.tail_model is None:
-                s0 = w1 = (0.0, math.inf)
-            else:
-                s0 = _bracket(*self.tail_model.sum_tail(cut))
-                w1 = _bracket(*self.tail_model.weighted_tail(cut))
-            val = stored + (cut - q) * s0[0] + w1[0]
-            err = (cut - q) * s0[1] + w1[1]
+        if q <= self.n_max:
+            grid, w1_err = self._double_grid
+            val = float(grid[q])
+            err = (self.n_max + 1 - q) * self.tail_error() + w1_err
         else:
             if self.tail_model is None:
                 raise ToleranceError(f"D({q}) is beyond the stored cutoff {self.n_max}")
@@ -381,54 +400,33 @@ class EtaSequence:
         return val
 
     def first_moment(self, tol: float | None = None) -> float:
-        """sum_n n eta_n, the normalization behind equilibrium cylinders."""
-        cut = self.n_max + 1
-        w = np.arange(1.0, self.n_max + 1.0)
-        stored = float(np.sum((self.values * w)[::-1]))
-        if self.tail_model is None:
-            s0 = w1 = (0.0, math.inf)
-        else:
-            s0 = _bracket(*self.tail_model.sum_tail(cut))
-            w1 = _bracket(*self.tail_model.weighted_tail(cut))
-        val = stored + cut * s0[0] + w1[0]
-        err = cut * s0[1] + w1[1]
-        _check_tol(err, tol, "sum n*eta_n")
-        return val
+        """sum_n n eta_n = D(0), the normalization behind equilibrium cylinders."""
+        return self.double_tail(0, tol)
 
     # -- run-transition ratios -------------------------------------------
 
+    def _ratios(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(T(m+1)/T(m), eta_m/T(m)) for m = lo..hi, read from the tail grid
+        (closed form at any m for the geometric family)."""
+        if isinstance(self.tail_model, GeometricTail):
+            r = self.tail_model.ratio
+            return np.full(hi - lo + 1, r), np.full(hi - lo + 1, 1.0 - r)
+        if hi > self.n_max:
+            raise ToleranceError(f"ratios up to m={hi} need n_max >= {hi} (or a geometric family)")
+        t = self.tail_grid()[lo - 1 : hi + 1]
+        return t[1:] / t[:-1], self.values[lo - 1 : hi] / t[:-1]
+
     def continue_ratio(self, m: int) -> float:
         """T(m+1)/T(m); closed form at any m for the geometric family."""
-        if isinstance(self.tail_model, GeometricTail):
-            return self.tail_model.ratio
-        if m + 1 > self.n_max + 1:
-            raise ToleranceError(
-                f"ratio at m={m} needs n_max >= {m} (or a geometric family)"
-            )
-        t = self._t_grid
-        return float(t[m] / t[m - 1])
+        return float(self._ratios(m, m)[0][0])
 
     def switch_ratio(self, m: int) -> float:
         """eta_m/T(m); closed form at any m for the geometric family."""
-        if isinstance(self.tail_model, GeometricTail):
-            return 1.0 - self.tail_model.ratio
-        if m > self.n_max:
-            raise ToleranceError(
-                f"ratio at m={m} needs n_max >= {m} (or a geometric family)"
-            )
-        return float(self.values[m - 1] / self._t_grid[m - 1])
+        return float(self._ratios(m, m)[1][0])
 
     def ratio_arrays(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
         """(T(m+1)/T(m), eta_m/T(m)) for m = 1..m_max as arrays."""
-        if isinstance(self.tail_model, GeometricTail):
-            r = self.tail_model.ratio
-            return np.full(m_max, r), np.full(m_max, 1.0 - r)
-        if m_max > self.n_max:
-            raise ToleranceError(
-                f"ratios up to m={m_max} need n_max >= {m_max} (or a geometric family)"
-            )
-        t = self._t_grid
-        return t[1 : m_max + 1] / t[:m_max], self.values[:m_max] / t[:m_max]
+        return self._ratios(1, m_max)
 
     # -- rescaling and serialization --------------------------------------
 
@@ -442,11 +440,10 @@ class EtaSequence:
         return EtaSequence(self.values * c, model, self.family, params)
 
     def to_json(self) -> str:
-        params = {k: v for k, v in self.params.items()}
         return json.dumps(
             {
                 "family": self.family,
-                "params": params,
+                "params": self.params,
                 "n_max": self.n_max,
                 "values": self.values.tolist(),
             }
@@ -457,35 +454,76 @@ class EtaSequence:
         doc = json.loads(text)
         family, params = doc["family"], doc["params"]
         values = np.asarray(doc["values"], dtype=float)
-        scale = params.get("scale", 1.0)
-        if family == "power":
-            model: TailModel | None = PowerTail(params["gamma"], scale)
-        elif family == "stretched":
-            model = StretchedTail(params["theta"], 1.0, scale)
-        elif family == "geometric":
-            model = GeometricTail(params["ratio"], scale)
+        if family in FAMILIES:
+            model: TailModel | None = FAMILIES[family].tail(params[FAMILIES[family].key])
         elif family == "inverse" and params.get("target"):
-            model = TargetTail(decay_profile(params["target"])[0], scale, params["target"])
+            model = TargetTail(decay_profile(params["target"])[0], label=params["target"])
         elif family == "custom" and params.get("bound"):
             model = DominatedTail(_bound_model(params["bound"]))
         else:
             model = None
+        if model is not None and "scale" in params:
+            model = model.scaled(params["scale"])
         return EtaSequence(values, model, family, params)
 
 
 def _bound_model(spec) -> TailModel:
     """Dominating-bound descriptor: ("geometric", C, r) or ("power", C, gamma)."""
     kind, c, p = spec[0], float(spec[1]), float(spec[2])
-    if kind == "geometric":
-        if not 0.0 < p < 1.0:
-            raise NotSummableError(f"geometric bound ratio {p} not in (0,1)")
-        # C * r^n written as a GeometricTail with scale C*r
-        return GeometricTail(p, c * p)
-    if kind == "power":
-        if p <= 1.0:
-            raise NotSummableError(f"power bound with gamma={p} is not summable")
-        return PowerTail(p, c)
-    raise ValueError(f"unknown bound kind {kind!r}")
+    if kind not in ("geometric", "power"):
+        raise ValueError(f"unknown bound kind {kind!r}")
+    FAMILIES[kind].check(p)
+    # C * r^n is the geometric model r^(n-1) with scale C*r
+    return FAMILIES[kind].tail(p).scaled(c * p if kind == "geometric" else c)
+
+
+def _check_power(gamma: float, profile: bool = False):
+    if profile and not gamma > 0.0:
+        raise ValueError(f"power profile exponent {gamma} must be positive")
+    if not profile and not gamma > 1.0:
+        raise NotSummableError(f"power(gamma={gamma}) is not summable")
+
+
+def _check_unit(p: float, profile: bool = False, *, what: str):
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{what}={p} must be in (0,1)")
+
+
+@dataclass(frozen=True)
+class Family:
+    """An analytic family: ``key`` names its parameter in params and JSON;
+    ``check(p, profile)`` rejects a parameter outside the sequence's domain
+    (with ``profile``, the target profile's); ``tail(p)`` is the tail model,
+    whose vectorised ``value`` gives the stored values; ``profile(p)`` is the
+    target decay profile d(q) of the same shape."""
+
+    key: str
+    check: Callable[..., None]
+    tail: Callable[[float], TailModel]
+    profile: Callable[[float], Callable[[int], float]]
+
+
+# The one registry of analytic families: add a family here and every caller has it.
+FAMILIES: dict[str, Family] = {
+    "power": Family("gamma", _check_power, PowerTail, lambda p: lambda q: float(q) ** -p),
+    "stretched": Family("theta", partial(_check_unit, what="stretched exponent theta"),
+                        StretchedTail, lambda p: lambda q: math.exp(-float(q) ** p)),
+    "geometric": Family("ratio", partial(_check_unit, what="geometric ratio"), GeometricTail,
+                        lambda p: lambda q: p**q),
+}
+
+
+def parse_family(spec: str) -> tuple[str, dict]:
+    """Split a "name:param" spec into a registered family name and its params."""
+    name, _, arg = spec.partition(":")
+    name = name.strip().lower()
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r} in {spec!r}; known: {', '.join(FAMILIES)}")
+    key = FAMILIES[name].key
+    try:
+        return name, {key: float(arg)}
+    except ValueError:
+        raise ValueError(f"{spec!r} needs a numeric {key}, as in {name}:<{key}>") from None
 
 
 def make_eta(family: str, params: dict, n_max: int) -> EtaSequence:
@@ -501,38 +539,25 @@ def make_eta(family: str, params: dict, n_max: int) -> EtaSequence:
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
-    n = np.arange(1.0, n_max + 1.0)
-    fam = family.lower()
-    if fam == "power":
-        gamma = float(params["gamma"])
-        if gamma <= 1.0:
-            raise NotSummableError(f"power(gamma={gamma}) is not summable")
-        return EtaSequence(n**-gamma, PowerTail(gamma), "power", {"gamma": gamma})
-    if fam == "stretched":
-        theta = float(params["theta"])
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"stretched exponent theta={theta} must be in (0,1)")
-        return EtaSequence(
-            np.exp(-(n**theta)), StretchedTail(theta), "stretched", {"theta": theta}
-        )
-    if fam == "geometric":
-        ratio = float(params["ratio"])
-        if not 0.0 < ratio < 1.0:
-            raise ValueError(f"geometric ratio={ratio} must be in (0,1)")
-        values = ratio ** (n - 1.0)
-        if values[-1] == 0.0:
-            raise ValueError(
-                f"geometric(ratio={ratio}) underflows double precision at n_max={n_max}; "
-                "use a smaller n_max (closed-form ratios remain exact at any index)"
-            )
-        return EtaSequence(values, GeometricTail(ratio), "geometric", {"ratio": ratio})
-    if fam == "custom":
+    name = family.lower()
+    if name == "custom":
         values = np.asarray(params["values"], dtype=float)[:n_max]
         bound = params.get("bound")
         model = DominatedTail(_bound_model(bound)) if bound else None
         out_params = {"bound": list(bound)} if bound else {}
         return EtaSequence(values, model, "custom", out_params)
-    raise ValueError(f"unknown family {family!r}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    fam = FAMILIES[name]
+    p = float(params[fam.key])
+    fam.check(p)
+    model = fam.tail(p)
+    values = model.value(np.arange(1.0, n_max + 1.0))
+    if values[-1] == 0.0:
+        first = int(np.argmin(values > 0.0)) + 1
+        raise ValueError(f"{name}({fam.key}={p}) underflows double precision at eta_{first}; "
+                         f"use a smaller n_max than {n_max} or a slower decay")
+    return EtaSequence(values, model, name, {fam.key: p})
 
 
 def decay_profile(spec: str):
@@ -540,22 +565,11 @@ def decay_profile(spec: str):
 
     ``power:p`` -> q^-p, ``geometric:r`` -> r^q, ``stretched:t`` -> exp(-q^t).
     """
-    name, _, arg = spec.partition(":")
-    p = float(arg)
-    name = name.lower()
-    if name == "power":
-        if p <= 0:
-            raise ValueError("power profile needs a positive exponent")
-        return (lambda q: float(q) ** -p), f"power:{p:g}"
-    if name == "geometric":
-        if not 0.0 < p < 1.0:
-            raise ValueError("geometric profile ratio must be in (0,1)")
-        return (lambda q: p**q), f"geometric:{p:g}"
-    if name == "stretched":
-        if not 0.0 < p < 1.0:
-            raise ValueError("stretched profile exponent must be in (0,1)")
-        return (lambda q: math.exp(-float(q) ** p)), f"stretched:{p:g}"
-    raise ValueError(f"unknown decay profile {spec!r}")
+    name, params = parse_family(spec)
+    fam = FAMILIES[name]
+    p = params[fam.key]
+    fam.check(p, profile=True)
+    return fam.profile(p), f"{name}:{p:g}"
 
 
 def inverse_design(d, qmax: int, n_max: int | None = None, label: str | None = None) -> EtaSequence:
@@ -622,7 +636,7 @@ def sequence_table(eta: EtaSequence, n_max: int | None = None) -> dict:
     n_max = min(n_max or eta.n_max, eta.n_max)
     n = np.arange(1, n_max + 1)
     values = eta.values[:n_max]
-    t = eta._t_grid[:n_max]
+    t = eta.tail_grid()[:n_max]
     a = np.full(n_max, np.nan)
     a[1:] = np.log(values[1:] / values[:-1])
     return {"n": n, "eta": values, "T": t, "a": a}

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import runshift
 from runshift.cli import main
 
 
@@ -208,9 +212,45 @@ class TestPlumbing:
         assert meta["nmax"] == "24"
         assert data["n"].size == 24
 
+    def test_config_flag_entries(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "fp.csv"
+        cfg.write_text("type1 = true\nk = 2\na2 = -0.6931471805599453\nnmax = 40\n")
+        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv(out)[0]["type"] == "1"
+        cfg.write_text("type1 = False\ntype2 = true\nk = 3\ndigits = 0,2\n"
+                       "depth = 8\nnmax = 20\n")
+        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv(out)[0]["type"] == "2"
+        cfg.write_text("type1 = yes\nk = 2\n")
+        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "type1 is a flag; set type1=true or type1=false" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(runshift.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "runshift", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: runshift")
+
     def test_header_records_version_and_params(self, tmp_path):
         out = tmp_path / "eta.csv"
         main(["eta", "--family", "power:3", "--nmax", "16", "--out", str(out)])
         text = out.read_text()
         assert text.startswith("# runshift ")
         assert "# family=power:3" in text
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,cause", [
+        (["eta", "--family", "power:400"], "power(gamma=400.0) underflows double precision at eta_7"),
+        (["eta", "--family", "stretched:0.9", "--nmax", "100000"],
+         "stretched(theta=0.9) underflows double precision at eta_1554"),
+        (["inverse", "--target", "power"], "'power' needs a numeric gamma"),
+        (["decay", "--family", "cubic:3"], "unknown family 'cubic'"),
+    ])
+    def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert cause in capsys.readouterr().err

@@ -7,10 +7,8 @@ from runshift import (
     decay_table,
     iterates_from_run,
     make_eta,
-    renewal_deficits,
     renewal_series,
     stretched_tail_report,
-    transfer_iterates,
 )
 
 A1_POWER3 = 0.16809262741929248  # (zeta(3) - 1) / zeta(3)
@@ -53,7 +51,7 @@ class TestRenewalRecursion:
         assert np.max(np.abs(ser.deficits - (0.5 - ser.iterates))) < 1e-12
 
     def test_iterates_in_unit_interval_and_converge(self, power3):
-        a = transfer_iterates(power3, 2048)
+        a = renewal_series(power3, 2048).iterates
         assert np.all((a > 0.0) & (a < 1.0))
         # |A_q - 1/2| tail decreases to zero
         gap = np.abs(a - 0.5)
@@ -61,7 +59,7 @@ class TestRenewalRecursion:
         assert np.max(gap[1024:]) < np.max(gap[256:1024]) < np.max(gap[:256])
 
     def test_deficits_vanish(self, power3):
-        v = renewal_deficits(power3, 2048)
+        v = renewal_series(power3, 2048).deficits
         assert abs(v[-1]) < 1e-5
 
     def test_generating_function_identity(self, power3):

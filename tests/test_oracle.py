@@ -34,7 +34,7 @@ class TestBuildChain:
         assert np.max(np.abs(rows - 1.0)) < 1e-14
 
     def test_stationary_is_tail_profile(self, power3_chain, power3):
-        t = power3._t_grid[:10_000]
+        t = power3.tail_grid()[:10_000]
         expected = t / (2.0 * t.sum())
         assert np.allclose(power3_chain.stationary[0], expected, rtol=1e-14)
         assert power3_chain.stationary[0].sum() == pytest.approx(0.5, abs=1e-12)
@@ -122,7 +122,7 @@ class TestCylinderConsistency:
         z = 2.0 * power3.first_moment()
         for q in range(1, 65):
             mu_q = (
-                float(np.sum(power3._t_grid[q - 1 : power3.n_max][::-1]))
+                float(np.sum(power3.tail_grid()[q - 1 : power3.n_max][::-1]))
                 + power3.double_tail(power3.n_max)
             ) / z
             assert cylinder_probability(chain, q) == pytest.approx(
@@ -131,6 +131,15 @@ class TestCylinderConsistency:
 
     def test_unit_cylinder_is_half(self, power3_chain):
         assert cylinder_probability(power3_chain, 1) == pytest.approx(0.5, abs=1e-13)
+
+    def test_chain_longer_than_stored_sequence(self):
+        # geometric chains may run past n_max; T(m) is r^(m-1)/(1-r) there, so
+        # P(q zeros) = (r^(q-1) - r^M) / (2 (1 - r^M)) over the whole chain
+        r, M = 0.999, 5000
+        chain = build_chain(make_eta("geometric", {"ratio": r}, 1024), M)
+        for q in (1, 3, 1024, 1025, 1500, 4999, M):
+            exact = (r ** (q - 1) - r**M) / (2.0 * (1.0 - r**M))
+            assert cylinder_probability(chain, q) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSamplePaths:

