@@ -119,15 +119,10 @@ def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):
     """Predicted order D(q) of the correlation at lag q (or at each lag of
     an array).  The sign of the true correlation is a matter for the
     oracle; this is the magnitude scale only, and it is not sharp for
-    geometric weights where the correlation vanishes exactly.  Lags up to
-    n_max are read from the double-tail grid."""
+    geometric weights where the correlation vanishes exactly."""
     if np.isscalar(q):
         return eta.double_tail(int(q), tol)
-    qs = np.asarray(q, dtype=int)
-    if qs.size and 0 <= qs.min() and qs.max() <= eta.n_max:
-        eta.double_tail(int(qs.min()), tol)  # the largest certified error
-        return eta.double_tail_grid()[qs]
-    return np.array([eta.double_tail(int(v), tol) for v in qs])
+    return np.array([eta.double_tail(int(v), tol) for v in np.asarray(q)])
 
 
 def stretched_tail_report(eta: EtaSequence, ms) -> dict:

@@ -477,14 +477,17 @@ def _bound_model(spec) -> TailModel:
     return FAMILIES[kind].tail(p).scaled(c * p if kind == "geometric" else c)
 
 
-def _check_power(gamma: float, profile: bool = False):
-    if profile and not gamma > 0.0:
-        raise ValueError(f"power profile exponent {gamma} must be positive")
-    if not profile and not gamma > 1.0:
+def _check_power(gamma: float):
+    if not gamma > 1.0:
         raise NotSummableError(f"power(gamma={gamma}) is not summable")
 
 
-def _check_unit(p: float, profile: bool = False, *, what: str):
+def _check_power_profile(gamma: float):
+    if not gamma > 0.0:
+        raise ValueError(f"power profile exponent {gamma} must be positive")
+
+
+def _check_unit(p: float, *, what: str):
     if not 0.0 < p < 1.0:
         raise ValueError(f"{what}={p} must be in (0,1)")
 
@@ -492,20 +495,23 @@ def _check_unit(p: float, profile: bool = False, *, what: str):
 @dataclass(frozen=True)
 class Family:
     """An analytic family: ``key`` names its parameter in params and JSON;
-    ``check(p, profile)`` rejects a parameter outside the sequence's domain
-    (with ``profile``, the target profile's); ``tail(p)`` is the tail model,
-    whose vectorised ``value`` gives the stored values; ``profile(p)`` is the
-    target decay profile d(q) of the same shape."""
+    ``check(p)`` rejects a parameter outside the sequence's domain;
+    ``tail(p)`` is the tail model, whose vectorised ``value`` gives the
+    stored values; ``profile(p)`` is the target decay profile d(q) of the
+    same shape, and ``profile_check`` its domain check where that differs
+    from ``check``."""
 
     key: str
-    check: Callable[..., None]
+    check: Callable[[float], None]
     tail: Callable[[float], TailModel]
     profile: Callable[[float], Callable[[int], float]]
+    profile_check: Callable[[float], None] | None = None
 
 
 # The one registry of analytic families: add a family here and every caller has it.
 FAMILIES: dict[str, Family] = {
-    "power": Family("gamma", _check_power, PowerTail, lambda p: lambda q: float(q) ** -p),
+    "power": Family("gamma", _check_power, PowerTail, lambda p: lambda q: float(q) ** -p,
+                    _check_power_profile),
     "stretched": Family("theta", partial(_check_unit, what="stretched exponent theta"),
                         StretchedTail, lambda p: lambda q: math.exp(-float(q) ** p)),
     "geometric": Family("ratio", partial(_check_unit, what="geometric ratio"), GeometricTail,
@@ -568,7 +574,7 @@ def decay_profile(spec: str):
     name, params = parse_family(spec)
     fam = FAMILIES[name]
     p = params[fam.key]
-    fam.check(p, profile=True)
+    (fam.profile_check or fam.check)(p)
     return fam.profile(p), f"{name}:{p:g}"
 
 
