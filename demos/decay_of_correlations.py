@@ -57,7 +57,7 @@ def main():
     out = sample_paths(chain, length=16, n_paths=100_000, seed=3)
     exact = correlation(chain, 16)
     print(f"  C(16): paths {out['estimate'][16]:+.5f} +- {out['stderr'][16]:.5f}, "
-          f"matrix {exact:+.5f}")
+          f"chain {exact:+.5f}")
 
     print("\n== stretched(1/2): order q e^(-sqrt q), constant ~4 ==")
     st = make_eta("stretched", {"theta": 0.5}, 40_000)

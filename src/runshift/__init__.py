@@ -41,7 +41,6 @@ from .oracle import (
     build_chain,
     correlation,
     cylinder_probability,
-    occupation_probability,
     occupation_sweep,
     sample_paths,
     stationarity_defect,

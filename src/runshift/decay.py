@@ -74,19 +74,11 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
     w = eta.W()
     t = eta.tail_grid()  # t[m-1] = T(m)
     p = eta.values[:qmax] / w
-    cum = np.cumsum(p)
     tail_terms = t[1 : qmax + 1] / w
     forcing = 0.5 * t[:qmax] / w - tail_terms
-
-    iterates = np.empty(qmax)
-    deficits = np.empty(qmax)
-    iterates[0] = tail_terms[0]
-    deficits[0] = forcing[0]
-    for q in range(2, qmax + 1):
-        conv_a = float(np.dot(p[: q - 1], iterates[q - 2 :: -1]))
-        iterates[q - 1] = cum[q - 2] - conv_a + tail_terms[q - 1]
-        conv_v = float(np.dot(p[: q - 1], deficits[q - 2 :: -1]))
-        deficits[q - 1] = -conv_v + forcing[q - 1]
+    jumped = np.concatenate(([0.0], np.cumsum(p[:-1])))  # sum_{m<q} p_m, the 1 in 1 - A
+    iterates = _lagged_solve(p, jumped + tail_terms)
+    deficits = _lagged_solve(p, forcing)
     return RenewalSeries(eta, qmax, w, p, tail_terms, forcing, iterates, deficits)
 
 
@@ -105,14 +97,20 @@ def iterates_from_run(
     if s + qmax > eta.n_max + 1:
         raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
     ts = t[s - 1]
-    ratios = eta.values[s - 1 : s + qmax - 2] / ts  # eta_{s+j-1}/T(s), j = 1..qmax-1
+    ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
     tails = t[s : s + qmax] / ts  # T(s+q)/T(s), q = 1..qmax
-    comp = 1.0 - series.iterates
-    out = np.empty(qmax)
-    out[0] = tails[0]
-    for q in range(2, qmax + 1):
-        out[q - 1] = float(np.dot(ratios[: q - 1], comp[q - 2 :: -1])) + tails[q - 1]
-    return out
+    comp = np.concatenate(([0.0], 1.0 - series.iterates[: qmax - 1]))  # 1 - A_i; no A_0 term
+    return np.convolve(ratios, comp)[:qmax] + tails
+
+
+def _lagged_solve(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x_i = f_i - sum_{k=1}^{min(i, len p)} p[k-1] x_{i-k} by direct summation, accurate
+    relative to each x_i's own terms (an FFT errs by u max|x| and loses tiny late x_i)."""
+    x = np.empty(f.size)
+    for i in range(f.size):
+        n = min(i, p.size)
+        x[i] = f[i] - float(np.dot(p[:n], x[i - n : i][::-1]))
+    return x
 
 
 def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):

@@ -2,7 +2,7 @@
 
 The equilibrium measure conditioned on its future is Markov in the state
 (current symbol, current run length): the run continues with probability
-T(m+1)/T(m) and switches symbol with probability eta_m/T(m).  Those are
+c_m = T(m+1)/T(m) and switches symbol with s_m = eta_m/T(m).  Those are
 exactly the two Jacobian branches, so this chain is derived from the
 normalized potential alone and knows nothing of the renewal recursions it
 is used to check.
@@ -12,15 +12,31 @@ stochastic and leaves the stationary law exactly proportional to T(m) on
 1 <= m <= M (forced switches re-inject precisely the tail mass).  The
 recorded truncation bias for correlation queries is twice the relative
 tail mass sum_{m>M} T(m) / sum_m T(m).
+
+Queries follow d = u_0 - u_1 for a mass vector u: both symbols move alike,
+so P(symbol 0) = (mass + sum_m d_q[m]) / 2, and C(q) = sum_m d_q[m] / 2 from
+the stationary law on symbol 0, with no subtraction of 1/4.  As the
+stationary row has pi(m+1) = pi(m) c_m, a run begun at time j+1 > 0 holds
+d_q[m] = pi(m) h(q-m).  With F(j), R(q) the switch flux at time j and the
+mass left at time q of the runs present at time 0, the switch row
+d_{j+1}[1] = -sum_m s_m d_j[m] and the readout become
+
+    pi(1) h(j) = -(sum_{m=1}^{min(j,M)} pi(m) s_m h(j-m) + F(j)),
+    sum_m d_q[m] = sum_{m=1}^{min(q,M)} pi(m) h(q-m) + R(q).
+
+Rounding errs by ulps of the readout's terms, of order C(q) for power and
+stretched weights but r^q >> C(q) = (2r-1)^q / 4 for geometric r > 1/2.
+Only the kernel decay._lagged_solve is shared with runshift.decay; the
+coefficients, F, R and readout come from the chain's rows, never eta/W.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .decay import _lagged_solve
 from .sequences import EtaSequence, GeometricTail, ToleranceError
 
 __all__ = [
@@ -28,7 +44,6 @@ __all__ = [
     "build_chain",
     "step",
     "correlation",
-    "occupation_probability",
     "occupation_sweep",
     "cylinder_probability",
     "sample_paths",
@@ -91,50 +106,42 @@ def step(chain: RenewalChain, u: np.ndarray) -> np.ndarray:
 def correlation(chain: RenewalChain, qs) -> np.ndarray:
     """C(q) = P(x_0 = 0 and x_q = 0) - 1/4 at each requested lag.
 
-    Computed by iterated sparse application of the transition operator to
-    the stationary mass restricted to symbol 0 (cost O(q M)); C(0) = 1/4.
-    The truncation bias is at most 2 * eps_trunc.  Scalar in, scalar out.
+    Computed as sum_m d_q[m] / 2, where by stationarity the runs longer than
+    j switch at their inflow rate F(j) = pi(j+1); cost O(q min(q, M)),
+    C(0) = 1/4, truncation bias <= 2 * eps_trunc.  Scalar in, scalar out.
     """
-    u = chain.stationary.copy()
-    u[1, :] = 0.0
-    out = _zero_mass_sweep(chain, u, qs) - 0.25
+    pi = chain.stationary[0]
+    out = 0.5 * _difference_sums(chain, pi, np.cumsum(pi[::-1])[::-1], qs)
     return float(out[0]) if np.isscalar(qs) else out
 
 
-def _zero_mass_sweep(chain: RenewalChain, u: np.ndarray, qs) -> np.ndarray:
-    """Mass on symbol 0 after each lag of qs, propagating u once."""
-    qs = np.asarray(list(np.atleast_1d(qs)), dtype=int)
-    if np.any(qs < 0):
-        raise ValueError("lags must be nonnegative")
-    wanted = {int(q): i for i, q in enumerate(qs)}
-    out = np.empty(qs.size)
-    if 0 in wanted:
-        out[wanted[0]] = u[0].sum()
-    for q in range(1, int(qs.max(initial=0)) + 1):
-        u = step(chain, u)
-        if q in wanted:
-            out[wanted[q]] = u[0].sum()
-    return out
-
-
-def occupation_probability(chain: RenewalChain, start: tuple[int, int], q: int) -> float:
-    """P(symbol 0 after q steps | start state (symbol, m)).
+def occupation_sweep(chain: RenewalChain, start: tuple[int, int], qs) -> np.ndarray:
+    """P(symbol 0 after q steps | start state (symbol, m)) at each lag of qs.
 
     This is the q-fold transfer iterate of the 0-cylinder indicator at a
-    point with leading run (symbol, m); it matches the renewal iterates
-    from runshift.decay up to truncation.
+    point with leading run (symbol, m), (1 + sum_m d_q[m]) / 2; it matches
+    the renewal iterates from runshift.decay up to truncation.
     """
-    return float(occupation_sweep(chain, start, [q])[0])
-
-
-def occupation_sweep(chain: RenewalChain, start: tuple[int, int], qs) -> np.ndarray:
-    """occupation_probability at each lag of qs, in one propagation."""
     sym, m = start
     if sym not in (0, 1) or not 1 <= m <= chain.M:
         raise ValueError(f"start state {start} outside (symbol, 1..{chain.M})")
-    u = np.zeros((2, chain.M))
-    u[sym, m - 1] = 1.0
-    return _zero_mass_sweep(chain, u, qs)
+    # the start run, of sign +1 on symbol 0, survives j steps with weight prod_{k=m}^{m+j-1} c_k
+    alive = (1 - 2 * sym) * np.cumprod(np.concatenate(([1.0], chain.continue_probs[m - 1 : -1])))
+    return 0.5 * (1.0 + _difference_sums(chain, alive * chain.switch_probs[m - 1 :], alive, qs))
+
+
+def _difference_sums(chain: RenewalChain, flux: np.ndarray, alive: np.ndarray, qs) -> np.ndarray:
+    """sum_m d_q[m] at each lag of qs from F = flux and R = alive (zero past their ends)."""
+    qs = np.asarray(list(np.atleast_1d(qs)), dtype=int)
+    if np.any(qs < 0):
+        raise ValueError("lags must be nonnegative")
+    n = max(int(qs.max(initial=0)), 1)
+    pi = chain.stationary[0]
+    sums = np.concatenate((alive, np.zeros(n + 1)))[: n + 1]
+    f = np.concatenate((flux, np.zeros(n)))[:n]
+    h = _lagged_solve(pi[:n] * chain.switch_probs[:n] / pi[0], -f / pi[0])
+    sums[1:] += np.convolve(h, pi[:n])[:n]
+    return sums[qs]
 
 
 def cylinder_probability(chain: RenewalChain, q: int) -> float:
@@ -169,15 +176,9 @@ def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> d
         m = np.where(go, m + 1, 1)
         sym = np.where(go, sym, 1 - sym)
         zeros[t] = sym == 0
-    base = zeros[0]
-    qs = np.arange(length + 1)
-    est = np.empty(length + 1)
-    err = np.empty(length + 1)
-    for q in qs:
-        prod = (base & zeros[q]).astype(float)
-        est[q] = prod.mean() - 0.25
-        err[q] = prod.std(ddof=1) / math.sqrt(n_paths)
-    return {"q": qs, "estimate": est, "stderr": err}
+    hits = np.logical_and(zeros, zeros[0], out=zeros).mean(axis=1)  # x_0 = 0 and x_q = 0
+    return {"q": np.arange(length + 1), "estimate": hits - 0.25,
+            "stderr": np.sqrt(hits * (1.0 - hits) / (n_paths - 1))}
 
 
 def dense_transition(chain: RenewalChain) -> np.ndarray:
@@ -188,10 +189,7 @@ def dense_transition(chain: RenewalChain) -> np.ndarray:
     M = chain.M
     P = np.zeros((2 * M, 2 * M))
     for s in (0, 1):
-        base = s * M
-        other = (1 - s) * M
-        for m in range(1, M + 1):
-            if m < M:
-                P[base + m - 1, base + m] = chain.continue_probs[m - 1]
-            P[base + m - 1, other] = chain.switch_probs[m - 1]
+        rows = s * M + np.arange(M)
+        P[rows[:-1], rows[1:]] = chain.continue_probs[:-1]
+        P[rows, (1 - s) * M] = chain.switch_probs
     return P

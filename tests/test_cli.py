@@ -162,6 +162,23 @@ class TestDecay:
         assert float(meta["eps_trunc"]) < 1e-3
         assert np.max(np.abs(data["V"] - (0.5 - data["A"]))) < 1e-12
 
+    @pytest.mark.parametrize("ratio,qmax,nmax", [
+        (0.3, 16, 589),  # 0.3^588 is the last normal power
+        (0.99, 2000, 10001),  # the default trunc + 1, below the cap
+    ])
+    def test_geometric_nmax_follows_ratio(self, tmp_path, ratio, qmax, nmax):
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--family", f"geometric:{ratio}", "--qmax", str(qmax),
+                     "--out", str(out)]) == 0
+        meta, data = read_csv(out)
+        assert meta["nmax"] == str(nmax)
+        # a two-state Markov chain keeping its symbol with probability ratio;
+        # runs older than time 0 still hold mass of order ratio^q, which the
+        # younger runs cancel down to C(q)
+        exact = (2.0 * ratio - 1.0) ** data["q"] / 4.0
+        scale = np.maximum(np.abs(exact), ratio ** data["q"])
+        assert np.all(np.abs(data["C_oracle"] - exact) <= 1e-12 * scale)
+
     def test_monte_carlo_columns(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["decay", "--family", "power:3", "--qmax", "4",
@@ -230,10 +247,11 @@ class TestPlumbing:
         src = os.path.dirname(os.path.dirname(runshift.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "runshift", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("usage: runshift")
+        for module in ("runshift", "runshift.cli"):
+            proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, module
+            assert proc.stdout.startswith("usage: runshift"), module
 
     def test_header_records_version_and_params(self, tmp_path):
         out = tmp_path / "eta.csv"

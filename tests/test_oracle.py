@@ -8,7 +8,6 @@ from runshift import (
     equilibrium_cylinder,
     iterates_from_run,
     make_eta,
-    occupation_probability,
     occupation_sweep,
     renewal_series,
     sample_paths,
@@ -88,12 +87,12 @@ class TestCorrelation:
 
 class TestOccupation:
     def test_single_step(self, power3_chain, power3):
-        got = occupation_probability(power3_chain, (0, 1), 1)
+        got = occupation_sweep(power3_chain, (0, 1), [1])[0]
         assert got == pytest.approx(power3.tail(2) / power3.W(), rel=1e-13)
 
     def test_symmetry_between_symbols(self, power3_chain):
-        a = occupation_probability(power3_chain, (0, 3), 5)
-        b = occupation_probability(power3_chain, (1, 3), 5)
+        a = occupation_sweep(power3_chain, (0, 3), [5])[0]
+        b = occupation_sweep(power3_chain, (1, 3), [5])[0]
         assert a == pytest.approx(1.0 - b, abs=1e-14)
 
     def test_matches_renewal_iterates(self, power3):
@@ -110,9 +109,45 @@ class TestOccupation:
 
     def test_bad_start_state(self, power3_chain):
         with pytest.raises(ValueError):
-            occupation_probability(power3_chain, (2, 1), 1)
+            occupation_sweep(power3_chain, (2, 1), [1])
         with pytest.raises(ValueError):
-            occupation_probability(power3_chain, (0, 0), 1)
+            occupation_sweep(power3_chain, (0, 0), [1])
+
+
+class TestAgainstStep:
+    """The recurrence against repeated application of the chain itself.
+
+    Lags run to 3M so the forced switch at M is exercised; the references
+    use ``step`` alone and nothing of the shared lag kernel."""
+
+    @pytest.mark.parametrize("family,key,param", [
+        ("power", "gamma", 3.0), ("stretched", "theta", 0.5), ("geometric", "ratio", 0.8)])
+    @pytest.mark.parametrize("M", [40, 300])
+    def test_matches_repeated_step(self, family, key, param, M):
+        chain = build_chain(make_eta(family, {key: param}, 2000), M)
+        qs = np.arange(1, 3 * M + 1)
+        u = chain.stationary.copy()
+        u[1, :] = 0.0
+        want = []
+        for _ in qs:
+            u = step(chain, u)
+            want.append(0.5 * float(u[0].sum() - u[1].sum()))
+        assert np.max(np.abs(correlation(chain, qs) - want)) <= 1e-13
+        for sym, m in ((0, 1), (1, 3), (0, M), (1, M - 1)):
+            u = np.zeros((2, M))
+            u[sym, m - 1] = 1.0
+            want = []
+            for _ in qs:
+                u = step(chain, u)
+                want.append(float(u[0].sum()))
+            got = occupation_sweep(chain, (sym, m), qs)
+            assert np.max(np.abs(got - want)) <= 1e-13, (sym, m)
+
+    def test_negative_lag_rejected(self, power3_chain):
+        with pytest.raises(ValueError, match="nonnegative"):
+            correlation(power3_chain, [3, -1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            occupation_sweep(power3_chain, (0, 1), [-2])
 
 
 class TestCylinderConsistency:
