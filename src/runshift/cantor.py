@@ -11,12 +11,16 @@ renormalization operator.  Quadrature enumerates depth-D digit prefixes,
 corrects by the midpoint of the residual cylinder, and reports a certified
 mean-value error bound; an independent Monte Carlo integrator cross-checks
 it from random digit strings.
+
+``quadrature_values`` is the one evaluation loop.  Its prefix points are
+rebuilt by ``_digit_sums`` on each call, with no cache, and one check,
+``_check_kernel``, rejects n outside the kernel's domain before that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,40 +82,45 @@ class DigitSystem:
         }
 
 
+def _digit_sums(digits: np.ndarray, weights) -> np.ndarray:
+    """All l^D sums b_1 w_1 + ... + b_D w_D over b_i in ``digits``, b_1 slowest."""
+    if not weights or digits.size ** len(weights) > MAX_POINTS:
+        raise ValueError(
+            f"need D >= 1 digit positions and l^D within the enumeration limit {MAX_POINTS}, "
+            f"got l^D = {digits.size}^{len(weights)}"
+        )
+    sums = np.zeros(1, dtype=digits.dtype)
+    for w in weights:
+        sums = (sums[:, None] + digits[None, :] * w).ravel()
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class CantorMeasure:
     """K(l, k) with its maximal-entropy measure and kernel exponent alpha."""
 
     ds: DigitSystem
     alpha: float = None  # defaults to the Hausdorff exponent
-    _prefixes: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.ds.hausdorff_alpha)
 
     def prefix_points(self, depth: int) -> np.ndarray:
-        """All l^depth depth-D cylinder base points sum b_i k^-i (cached)."""
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.ds.l**depth > MAX_POINTS:
-            raise ValueError(
-                f"l^depth = {self.ds.l}^{depth} exceeds the enumeration limit {MAX_POINTS}"
-            )
-        if depth not in self._prefixes:
-            pts = np.zeros(1)
-            digits = np.asarray(self.ds.digits, dtype=float)
-            for i in range(1, depth + 1):
-                pts = (pts[:, None] + digits[None, :] * self.ds.k ** (-float(i))).ravel()
-            self._prefixes[depth] = pts
-        return self._prefixes[depth]
+        """All l^depth depth-D cylinder base points sum b_i k^-i, built anew."""
+        weights = [self.ds.k ** (-float(i)) for i in range(1, depth + 1)]
+        return _digit_sums(np.asarray(self.ds.digits, dtype=float), weights)
+
+
+def _check_kernel(cm: CantorMeasure, n) -> None:
+    if n < 2 or n <= cm.ds.sup:
+        raise ValueError(f"kernel singularity: n={n} needs n >= 2 and n > sup K = {cm.ds.sup:g}")
 
 
 def error_bound(cm: CantorMeasure, n: int, depth: int) -> float:
     """Certified quadrature error: alpha (n - sup K)^(-alpha-1) sup K k^-depth."""
+    _check_kernel(cm, n)
     sup = cm.ds.sup
-    if n - sup <= 0.0:
-        raise ValueError(f"kernel singularity: n={n} must exceed sup K = {sup:g}")
     return cm.alpha * (n - sup) ** (-cm.alpha - 1.0) * sup * cm.ds.k ** (-float(depth))
 
 
@@ -119,11 +128,6 @@ def required_depth(cm: CantorMeasure, n: int, tol: float) -> int:
     """Smallest depth whose certified bound at this n is <= tol."""
     for depth in range(1, 200):
         if error_bound(cm, n, depth) <= tol:
-            if cm.ds.l**depth > MAX_POINTS:
-                raise ValueError(
-                    f"tolerance {tol:g} needs depth {depth} with l^depth > {MAX_POINTS}; "
-                    "pass an explicit feasible depth"
-                )
             return depth
     raise ValueError(f"no feasible depth for tolerance {tol:g}")
 
@@ -131,35 +135,29 @@ def required_depth(cm: CantorMeasure, n: int, tol: float) -> int:
 def quadrature(
     cm: CantorMeasure, n: int, depth: int | None = None, tol: float = 1e-8
 ) -> tuple[float, float]:
-    """I(n) with a certified error bound.
-
-    Every depth-D digit cylinder carries mass l^-D and spans an interval of
-    length sup K * k^-D above its base point; the kernel is evaluated at the
-    half-interval midpoint.  Returns (value, bound) with
-    |value - I(n)| <= bound.
-    """
-    if n < 2:
-        raise ValueError("kernel singularity: need n >= 2")
+    """(I(n), bound) at ``depth``, or at the least depth whose bound is <= tol."""
     if depth is None:
         depth = required_depth(cm, n, tol)
-    bound = error_bound(cm, n, depth)  # also guards n <= sup K
-    pts = cm.prefix_points(depth)
-    mid = cm.ds.sup * cm.ds.k ** (-float(depth)) / 2.0
-    x = n - pts - mid
-    value = float(np.mean(np.exp(-cm.alpha * np.log(x))))
-    return value, bound
+    values, bounds = quadrature_values(cm, [n], depth)
+    return float(values[0]), float(bounds[0])
 
 
 def quadrature_values(cm: CantorMeasure, ns, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of (I(n), bound) over indices ns at a common depth."""
+    """Vector of (I(n), bound) over indices ns at a common depth.
+
+    Every depth-D digit cylinder carries mass l^-D and spans an interval of
+    length sup K * k^-D above its base point; the kernel is evaluated at the
+    half-interval midpoint, and |value - I(n)| <= bound for every n.
+    """
     ns = np.asarray(ns, dtype=int)
+    # error_bound checks every n before the prefix points are enumerated
+    bounds = np.array([error_bound(cm, n, depth) for n in ns.tolist()])
     pts = cm.prefix_points(depth)
     mid = cm.ds.sup * cm.ds.k ** (-float(depth)) / 2.0
     out = np.empty(ns.size)
     for i, n in enumerate(ns):
         x = float(n) - pts - mid
         out[i] = np.mean(np.exp(-cm.alpha * np.log(x)))
-    bounds = np.array([error_bound(cm, int(n), depth) for n in ns])
     return out, bounds
 
 
@@ -177,8 +175,7 @@ def monte_carlo_integral(
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
-    if n < 2 or n - cm.ds.sup <= 0.0:
-        raise ValueError(f"kernel singularity at n={n}")
+    _check_kernel(cm, n)
     length = math.ceil(40.0 / math.log2(cm.ds.k))
     digits = np.asarray(cm.ds.digits, dtype=float)
     weights = cm.ds.k ** -np.arange(1.0, length + 1.0)
@@ -203,8 +200,6 @@ def self_similarity_check(cm: CantorMeasure, n: int, depth: int) -> float:
     Bounded by (l + 1) times the quadrature bound at this depth, since each
     of the l + 1 quadratures on the right contributes at most its own bound.
     """
-    value, _ = quadrature(cm, n, depth)
-    total = 0.0
-    for c in cm.ds.digits:
-        total += quadrature(cm, cm.ds.k * n - c, depth)[0]
-    return abs(value - total)
+    ns = [n] + [cm.ds.k * n - c for c in cm.ds.digits]
+    values, _ = quadrature_values(cm, ns, depth)
+    return abs(float(values[0]) - sum(values[1:].tolist()))

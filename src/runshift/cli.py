@@ -189,8 +189,8 @@ def _cmd_integrate(args) -> int:
 def _cmd_decay(args) -> int:
     family, params = parse_family(args.family)
     nmax = args.nmax or max(args.qmax + 2, args.oracle_trunc + 1, 64)
-    if family == "geometric" and 0.0 < params["ratio"] < 1.0:
-        # the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
+    if not args.nmax and family == "geometric" and 0.0 < params["ratio"] < 1.0:
+        # default only: the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
         nmax = min(nmax, 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])))
     eta = make_eta(family, params, nmax)
     chain = build_chain(eta, args.oracle_trunc)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorMeasure, DigitSystem, quadrature_values, required_depth
+from .cantor import CantorMeasure, DigitSystem, _digit_sums, quadrature_values, required_depth
 from .sequences import DominatedTail, EtaSequence, _bound_model
 
 __all__ = [
@@ -185,22 +185,17 @@ def renorm2_apply(
     return WaltersCoefficients(out, coeffs.b, coeffs.d)
 
 
-def renorm2_digit_indices(ds: DigitSystem, n_fold: int, limit: int = 1 << 20) -> np.ndarray:
+def renorm2_digit_indices(ds: DigitSystem, n_fold: int) -> np.ndarray:
     """Offsets j = b_0 k^0 + ... + b_{N-1} k^{N-1} over digit choices b_i.
 
     The N-fold digit operator acts in one pass as
     (R^N a)_n = sum_j a_{k^N n - j} over these l^N offsets (sorted, with
     multiplicity).
     """
-    if n_fold < 1:
-        raise ValueError("need at least one application")
-    if ds.l**n_fold > limit:
-        raise ValueError(f"l^N = {ds.l}^{n_fold} exceeds the enumeration limit {limit}")
-    js = np.zeros(1, dtype=np.int64)
-    digits = np.asarray(ds.digits, dtype=np.int64)
-    for i in range(n_fold):
-        js = (js[:, None] + digits[None, :] * ds.k**i).ravel()
-    return np.sort(js)
+    if ds.digits[-1] * (ds.k**n_fold - 1) // (ds.k - 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"N={n_fold}: the largest offset c_l (k^N - 1)/(k - 1) overflows 64 bits")
+    weights = [ds.k**i for i in range(n_fold)]
+    return np.sort(_digit_sums(np.asarray(ds.digits, dtype=np.int64), weights))
 
 
 @dataclass(frozen=True, eq=False)

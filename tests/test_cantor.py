@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ class TestQuadrature:
         cm = CantorMeasure(DigitSystem(2, (0, 2)))
         with pytest.raises(ValueError, match="singularity"):
             quadrature(cm, 2, depth=8)
+        # the vector path checks the same domain: sup K = 0.75 < n = 1 < 2
+        cm = CantorMeasure(DigitSystem(5, (0, 3)))
+        with pytest.raises(ValueError, match="singularity"):
+            quadrature_values(cm, [1], 8)
 
     def test_cl_equals_k_allowed_with_adjusted_bound(self):
         cm = CantorMeasure(DigitSystem(3, (0, 3)))
@@ -95,6 +100,20 @@ class TestQuadrature:
     def test_enumeration_cap(self, lebesgue3):
         with pytest.raises(ValueError, match="enumeration limit"):
             quadrature(lebesgue3, 2, depth=20)
+
+    def test_no_prefix_tables_retained(self):
+        # prefix points are rebuilt on each call; a depth-18 table alone is 3 MB
+        cm = CantorMeasure(DigitSystem(3, (0, 2)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for depth in (14, 16, 18):
+                quadrature(cm, 2, depth=depth)
+            self_similarity_check(cm, 2, depth=17)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.1e6
 
     def test_required_depth_honors_bound(self, middle_thirds):
         depth = required_depth(middle_thirds, 2, 1e-8)

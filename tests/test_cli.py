@@ -179,6 +179,14 @@ class TestDecay:
         scale = np.maximum(np.abs(exact), ratio ** data["q"])
         assert np.all(np.abs(data["C_oracle"] - exact) <= 1e-12 * scale)
 
+    def test_explicit_nmax_is_not_capped(self, tmp_path):
+        # past the default cap of 589, but 0.3^599 is still a nonzero double
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--family", "geometric:0.3", "--qmax", "100",
+                     "--nmax", "600", "--out", str(out)]) == 0
+        meta, _ = read_csv(out)
+        assert meta["nmax"] == "600"
+
     def test_monte_carlo_columns(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["decay", "--family", "power:3", "--qmax", "4",
@@ -268,6 +276,11 @@ class TestBadInput:
          "stretched(theta=0.9) underflows double precision at eta_1554"),
         (["inverse", "--target", "power"], "'power' needs a numeric gamma"),
         (["decay", "--family", "cubic:3"], "unknown family 'cubic'"),
+        # an explicit --nmax is kept, so the underflow is named
+        (["decay", "--family", "geometric:0.3", "--qmax", "1000", "--nmax", "2000"],
+         "geometric(ratio=0.3) underflows double precision at eta_620"),
+        (["decay", "--family", "geometric:0.3", "--qmax", "100", "--nmax", "2000"],
+         "geometric(ratio=0.3) underflows double precision at eta_620"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -197,6 +197,16 @@ class TestDigitLemma:
         with pytest.raises(ValueError, match="limit"):
             renorm2_digit_indices(DigitSystem(3, (0, 2)), 25)
 
+    def test_offsets_fit_int64(self):
+        # the largest offset is c_l (k^N - 1)/(k - 1) = 10^N - 1 here
+        ds = DigitSystem(10, (0, 9))
+        js = renorm2_digit_indices(ds, 18)
+        assert js.size == 2**18
+        assert js[0] == 0 and js[-1] == 10**18 - 1
+        assert np.all(np.diff(js) > 0)
+        with pytest.raises(ValueError, match="64 bits"):
+            renorm2_digit_indices(ds, 19)
+
 
 class TestDigitFixedPoint:
     def test_lebesgue_case_closed_form(self):
