@@ -7,9 +7,10 @@ The library computes, end to end and with certified numerics:
 * the Walters-class potential they define, its explicit transfer-operator
   eigenfunction, eigenmeasure, equilibrium cylinder masses, and stochastic
   Jacobian (:mod:`runshift.potential`);
-* two renormalization operators on coefficient sequences and their
-  closed-form fixed points, one via quadrature of a kernel integral against
-  the maximal-entropy measure of a digit-restricted Cantor set
+* one renormalization operator on coefficient sequences, with block and
+  digit offset sets, and its fixed points: closed forms for blocks, and for
+  digits a quadrature of a kernel integral against the maximal-entropy
+  measure of a digit-restricted Cantor set
   (:mod:`runshift.renorm`, :mod:`runshift.cantor`);
 * decay of correlations of the 0-cylinder indicator through renewal
   recursions and double tails (:mod:`runshift.decay`), cross-validated by

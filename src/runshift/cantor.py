@@ -72,15 +72,6 @@ class DigitSystem:
         """sup K = c_l / (k - 1)."""
         return self.digits[-1] / (self.k - 1)
 
-    def describe(self) -> dict:
-        return {
-            "k": self.k,
-            "digits": list(self.digits),
-            "l": self.l,
-            "alpha": self.hausdorff_alpha,
-            "sup": self.sup,
-        }
-
 
 def _digit_sums(digits: np.ndarray, weights) -> np.ndarray:
     """All l^D sums b_1 w_1 + ... + b_D w_D over b_i in ``digits``, b_1 slowest."""
@@ -125,11 +116,18 @@ def error_bound(cm: CantorMeasure, n: int, depth: int) -> float:
 
 
 def required_depth(cm: CantorMeasure, n: int, tol: float) -> int:
-    """Smallest depth whose certified bound at this n is <= tol."""
-    for depth in range(1, 200):
+    """Smallest depth whose certified bound at this n is <= tol, among the
+    depths whose l^depth prefix points fit MAX_POINTS."""
+    usable = [d for d in range(1, MAX_POINTS.bit_length()) if cm.ds.l**d <= MAX_POINTS]
+    for depth in usable:
         if error_bound(cm, n, depth) <= tol:
             return depth
-    raise ValueError(f"no feasible depth for tolerance {tol:g}")
+    top = usable[-1]
+    raise ValueError(
+        f"tolerance {tol:g} at n={n} needs more than {cm.ds.l}^{top} prefix points "
+        f"(limit {MAX_POINTS}); pass an explicit depth <= {top} "
+        f"for the bound {error_bound(cm, n, top):.3g}"
+    )
 
 
 def quadrature(

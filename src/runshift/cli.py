@@ -29,7 +29,6 @@ from .renorm import (
     renorm1_fixed_point,
     renorm2_apply,
     renorm2_fixed_point,
-    residual,
 )
 from .sequences import (
     NotSummableError,
@@ -51,14 +50,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
-
-
 def _write_table(args, default_name: str, meta: dict, columns: dict) -> str:
-    path = _out_path(args, default_name)
+    path = args.out or os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
     if args.out_format == "json":
         doc = {
             "meta": {"version": __version__, **meta},
@@ -80,28 +73,50 @@ def _write_table(args, default_name: str, meta: dict, columns: dict) -> str:
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--digits {text!r}: expected integers c_1,...,c_l") from None
 
 
 def _read_coeffs(path: str) -> WaltersCoefficients:
-    """Read a coefficients CSV with columns n,a (metadata lines ignored)."""
-    ns, vals = [], []
+    """Read columns n,a of a table as ``_write_table`` writes it: CSV (metadata
+    lines ignored) or JSON (``data.n``, ``data.a``)."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                n = int(float(parts[0]))
-                a = float(parts[1])
-            except ValueError:
-                continue  # header row
-            ns.append(n)
-            vals.append(a)
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        data = json.loads(text).get("data", {})
+        rows = list(zip(data.get("n", []), data.get("a", [])))
+    else:
+        lines = (line.strip() for line in text.splitlines())
+        rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    ns, vals = [], []
+    for row in rows:
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {row[0]!r} has one column; expected n,a")
+        try:
+            n = int(float(row[0]))
+            a = float(row[1])
+        except ValueError:
+            continue  # header row
+        ns.append(n)
+        vals.append(a)
     if not ns or ns != list(range(2, 2 + len(ns))):
         raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
     return WaltersCoefficients(np.asarray(vals))
+
+
+def _select_operator(args) -> tuple[functools.partial, dict]:
+    """The operator --type1 / --type2 name, with its header fields."""
+    if args.type1 == args.type2:
+        raise ValueError("choose exactly one of --type1 / --type2")
+    if args.type1:
+        return functools.partial(renorm1_apply, k=args.k), {"type": 1, "k": args.k}
+    if args.digits is None:
+        raise ValueError("--type2 needs --digits")
+    ds = DigitSystem(args.k, _parse_digits(args.digits))
+    return functools.partial(renorm2_apply, ds=ds), {"type": 2, "k": args.k,
+                                                     "digits": args.digits}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -117,53 +132,34 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    if args.type1 == args.type2:
-        raise ValueError("choose exactly one of --type1 / --type2")
+    operator, fields = _select_operator(args)
+    meta = {"command": "fixed-point", **fields}
     if args.type1:
         if args.a2 is None:
             raise ValueError("--type1 needs --a2")
         coeffs = renorm1_fixed_point(args.k, args.a2, args.nmax, b=args.b)
-        operator = functools.partial(renorm1_apply, k=args.k)
-        meta = {"command": "fixed-point", "type": 1, "k": args.k, "a2": args.a2,
-                "b": args.b, "nmax": args.nmax}
-        kind = "type1"
+        meta["a2"] = args.a2
     else:
-        if args.digits is None:
-            raise ValueError("--type2 needs --digits")
-        ds = DigitSystem(args.k, _parse_digits(args.digits))
-        fp = renorm2_fixed_point(ds, args.nmax, depth=args.depth, b=args.b)
+        fp = renorm2_fixed_point(operator.keywords["ds"], args.nmax, depth=args.depth, b=args.b)
         coeffs = fp.coeffs
-        operator = functools.partial(renorm2_apply, ds=ds)
-        meta = {"command": "fixed-point", "type": 2, "k": args.k,
-                "digits": args.digits, "depth": fp.depth, "alpha": fp.measure.alpha,
-                "b": args.b, "nmax": args.nmax}
-        kind = "type2"
+        meta.update(depth=fp.depth, alpha=fp.measure.alpha)
+    meta.update(b=args.b, nmax=args.nmax)
     image = operator(coeffs)
     n = np.arange(2, coeffs.n_max + 1)
     ra = np.full(n.size, np.nan)
     ra[: image.a.size] = image.a
     res = np.abs(coeffs.a - ra)
-    path = _write_table(args, f"fixed_point_{kind}.csv", meta,
+    path = _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
                         {"n": n, "a": coeffs.a, "Ra": ra, "residual": res})
-    rep = residual(coeffs, operator)
-    print(f"wrote {path} (sup residual {rep.sup_abs!r} over {rep.n_checked} indices)")
+    sup = float(res[: image.a.size].max())
+    print(f"wrote {path} (sup residual {sup!r} over {image.a.size} indices)")
     return 0
 
 
 def _cmd_apply(args) -> int:
-    if args.type1 == args.type2:
-        raise ValueError("choose exactly one of --type1 / --type2")
-    coeffs = _read_coeffs(args.infile)
-    if args.type1:
-        image = renorm1_apply(coeffs, args.k)
-        meta = {"command": "apply", "type": 1, "k": args.k, "in": args.infile}
-    else:
-        if args.digits is None:
-            raise ValueError("--type2 needs --digits")
-        ds = DigitSystem(args.k, _parse_digits(args.digits))
-        image = renorm2_apply(coeffs, ds)
-        meta = {"command": "apply", "type": 2, "k": args.k, "digits": args.digits,
-                "in": args.infile}
+    operator, fields = _select_operator(args)
+    image = operator(_read_coeffs(args.infile))
+    meta = {"command": "apply", **fields, "in": args.infile}
     n = np.arange(2, image.n_max + 1)
     path = _write_table(args, "applied.csv", meta, {"n": n, "a": image.a})
     print(f"wrote {path} ({image.a.size} rows)")
@@ -264,12 +260,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(run=_cmd_fixed_point)
 
     p = sub.add_parser("apply",
-                       help="apply a renormalization operator to a coefficient CSV: n, a")
+                       help="apply a renormalization operator to a coefficient table: n, a")
     p.add_argument("--type1", action="store_true")
     p.add_argument("--type2", action="store_true")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits")
-    p.add_argument("--in", dest="infile", required=True, help="CSV with columns n,a")
+    p.add_argument("--in", dest="infile", required=True, help="CSV or JSON table with columns n,a")
     common(p)
     p.set_defaults(run=_cmd_apply)
 

@@ -1,18 +1,18 @@
 """Renormalization operators on Walters-class coefficient sequences.
 
-Two operators act on the run-coefficient sequence a_2, a_3, ... of a
-potential that is constant on the run cylinders:
+For a stretch k and an offset set C, (Ra)_n = sum over c in C of
+a_{k n - c} acts on the run coefficients a_2, a_3, ... of a potential
+that is constant on the run cylinders.  One kernel, ``_offset_apply``,
+evaluates it through the index map alone, for two offset sets:
 
-* the block operator with stretch k, (Ra)_n = sum of the k consecutive
-  coefficients a_i for i in [k(n-2)+3, k(n-1)+2], whose fixed points are
-  a_n = -log((n + alpha(n)) / (n + alpha(n) - 1)) for an index profile
-  alpha built by the recursion alpha_m = k alpha(n) + (k - 2) over blocks;
-* the digit operator for a digit system (k; c_1..c_l),
-  (Ra)_n = sum_i a_{k n - c_i}, whose fixed point is the negative of the
-  Cantor-measure kernel integral from runshift.cantor.
-
-Both are implemented through their induced index maps only; no sequence
-space transformation is materialized.
+* the block operator, C = {k-2, ..., 2k-3}: the sum of the k consecutive
+  a_i for i in [k(n-2)+3, k(n-1)+2], with fixed points
+  a_n = -log((n + alpha(n)) / (n + alpha(n) - 1)) for the index profile
+  alpha_m = k alpha(n) + (k - 2) over blocks; for k = 2 it is the digit
+  operator of (2; 0, 1);
+* the digit operator of a digit system (k; c_1..c_l), C = {c_1..c_l},
+  whose fixed point is minus the Cantor-measure kernel integral from
+  runshift.cantor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import CantorMeasure, DigitSystem, _digit_sums, quadrature_values, required_depth
-from .sequences import DominatedTail, EtaSequence, _bound_model
+from .sequences import EtaSequence
 
 __all__ = [
     "WaltersCoefficients",
@@ -88,45 +88,41 @@ def coeffs_from_eta(eta: EtaSequence, rescale: bool = False) -> WaltersCoefficie
     return WaltersCoefficients(a, b=-math.log(w), d=-math.log(w))
 
 
-def eta_from_coeffs(coeffs: WaltersCoefficients, bound=None) -> EtaSequence:
+def eta_from_coeffs(coeffs: WaltersCoefficients) -> EtaSequence:
     """eta_q = e^{a_2 + ... + a_q} with eta_1 = 1.
 
-    The result has no analytic tail model unless a dominating ``bound``
-    descriptor ("geometric", C, r) or ("power", C, gamma) is supplied, so
-    certified tails refuse tolerances below the truncation floor.
+    The result has no analytic tail model, so certified tails refuse
+    tolerances below the truncation floor.
     """
     # extended-precision accumulation keeps the round trip at the ulp scale
     partial = np.cumsum(coeffs.a.astype(np.longdouble))
     values = np.concatenate([[1.0], np.exp(partial).astype(float)])
-    model = DominatedTail(_bound_model(bound)) if bound else None
-    params = {"bound": list(bound)} if bound else {}
-    return EtaSequence(values, model, "custom", params)
+    return EtaSequence(values)
+
+
+def _offset_apply(coeffs: WaltersCoefficients, k: int, offsets) -> WaltersCoefficients:
+    """(Ra)_n = sum of a_{k n - c} over c in ``offsets``, added in the order
+    given, for n = 2 up to the last n whose every index the input holds."""
+    low = min(offsets)
+    n_top = (coeffs.n_max + low) // k
+    if n_top < 2:
+        raise ValueError(f"input too short: a_{2 * k - low} required for (Ra)_2")
+    ns = np.arange(2, n_top + 1)
+    out = np.zeros(ns.size)
+    for c in offsets:
+        out += coeffs.a[k * ns - c - 2]
+    return WaltersCoefficients(out, coeffs.b, coeffs.d)
 
 
 # -- first type: block sums over k consecutive indices ---------------------
 
 
-def renorm1_apply(
-    coeffs: WaltersCoefficients, k: int, n_out: int | None = None
-) -> WaltersCoefficients:
-    """(Ra)_n = a_{k(n-2)+3} + ... + a_{k(n-1)+2} for n >= 2.
-
-    Computes every index the input supports unless ``n_out`` asks further,
-    in which case the missing input index is named.
-    """
+def renorm1_apply(coeffs: WaltersCoefficients, k: int) -> WaltersCoefficients:
+    """(Ra)_n = a_{k(n-2)+3} + ... + a_{k(n-1)+2} for n >= 2, added lowest
+    index first: the offsets 2k-3, ..., k-2."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    n_avail = (coeffs.n_max - 2) // k + 1
-    if n_out is not None and n_out > n_avail:
-        raise ValueError(
-            f"(Ra)_{n_out} needs a_{k * (n_out - 1) + 2}; input stops at a_{coeffs.n_max}"
-        )
-    n_top = n_out or n_avail
-    if n_top < 2:
-        raise ValueError(f"input too short: a_{k + 2} required for (Ra)_2")
-    # index window for n is [k(n-2)+3, k(n-1)+2]: consecutive disjoint blocks
-    blocks = coeffs.a[1 : 1 + k * (n_top - 1)].reshape(n_top - 1, k)
-    return WaltersCoefficients(blocks.sum(axis=1), coeffs.b, coeffs.d)
+    return _offset_apply(coeffs, k, range(2 * k - 3, k - 3, -1))
 
 
 def renorm1_fixed_point(
@@ -165,24 +161,9 @@ def renorm1_fixed_point(
 # -- second type: digit sums ------------------------------------------------
 
 
-def renorm2_apply(
-    coeffs: WaltersCoefficients, ds: DigitSystem, n_out: int | None = None
-) -> WaltersCoefficients:
+def renorm2_apply(coeffs: WaltersCoefficients, ds: DigitSystem) -> WaltersCoefficients:
     """(Ra)_n = sum_i a_{k n - c_i} for n >= 2."""
-    n_avail = (coeffs.n_max + ds.digits[0]) // ds.k
-    if n_out is not None and n_out > n_avail:
-        raise ValueError(
-            f"(Ra)_{n_out} needs a_{ds.k * n_out - ds.digits[0]}; "
-            f"input stops at a_{coeffs.n_max}"
-        )
-    n_top = n_out or n_avail
-    if n_top < 2:
-        raise ValueError(f"input too short: a_{2 * ds.k - ds.digits[0]} required for (Ra)_2")
-    ns = np.arange(2, n_top + 1)
-    out = np.zeros(ns.size)
-    for c in ds.digits:
-        out += coeffs.a[ds.k * ns - c - 2]
-    return WaltersCoefficients(out, coeffs.b, coeffs.d)
+    return _offset_apply(coeffs, ds.k, ds.digits)
 
 
 def renorm2_digit_indices(ds: DigitSystem, n_fold: int) -> np.ndarray:
@@ -236,10 +217,9 @@ def renorm2_fixed_point(
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """sup |a_n - (Ra)_n| over verifiable indices, absolute and relative."""
+    """sup |a_n - (Ra)_n| over verifiable indices."""
 
     sup_abs: float
-    sup_rel: float
     n_checked: int
 
 
@@ -250,10 +230,7 @@ def residual(coeffs: WaltersCoefficients, operator) -> ResidualReport:
     image = operator(coeffs)
     n_top = min(coeffs.n_max, image.n_max)
     diff = np.abs(coeffs.a[: n_top - 1] - image.a[: n_top - 1])
-    scale = np.abs(coeffs.a[: n_top - 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(scale > 0.0, diff / scale, diff)
-    return ResidualReport(float(diff.max()), float(rel.max()), n_top - 1)
+    return ResidualReport(float(diff.max()), n_top - 1)
 
 
 @dataclass(frozen=True)
@@ -265,18 +242,6 @@ class GammaFit:
     r_squared: float
     curvature: float
     power_law: bool
-    n_lo: int
-    n_hi: int
-
-    def describe(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "stderr": self.stderr,
-            "r_squared": self.r_squared,
-            "curvature": self.curvature,
-            "power_law": self.power_law,
-            "range": [self.n_lo, self.n_hi],
-        }
 
 
 def estimate_gamma(eta, n_lo: int, n_hi: int) -> GammaFit:
@@ -303,6 +268,4 @@ def estimate_gamma(eta, n_lo: int, n_hi: int) -> GammaFit:
         r_squared=r2,
         curvature=curv,
         power_law=abs(curv) <= 0.02 and r2 >= 0.999,
-        n_lo=n_lo,
-        n_hi=n_hi,
     )

@@ -108,6 +108,26 @@ class TestApply:
         m = image["a"].size
         assert np.max(np.abs(image["a"] - fixed["a"][:m])) < 1e-6
 
+    def test_json_round_trip(self, tmp_path):
+        fp = tmp_path / "fp.json"
+        assert main(["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--depth", "12",
+                     "--nmax", "200", "--out-format", "json", "--out", str(fp)]) == 0
+        out = tmp_path / "ra.csv"
+        assert main(["apply", "--type2", "--k", "3", "--digits", "0,2",
+                     "--in", str(fp), "--out", str(out)]) == 0
+        ra = np.array(json.loads(fp.read_text())["data"]["Ra"])
+        _, image = read_csv(out)
+        assert image["a"].size == 65
+        assert np.array_equal(image["a"], ra[~np.isnan(ra)])
+
+    def test_one_column_row_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("n,a\n2,-0.5\n3\n")
+        rc = main(["apply", "--type1", "--k", "2", "--in", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")])
@@ -281,6 +301,12 @@ class TestBadInput:
          "geometric(ratio=0.3) underflows double precision at eta_620"),
         (["decay", "--family", "geometric:0.3", "--qmax", "100", "--nmax", "2000"],
          "geometric(ratio=0.3) underflows double precision at eta_620"),
+        # the default depth for 1e-8 is past the 3^15 prefix points that fit
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,1,2", "--nmax", "50"],
+         "tolerance 1e-08 at n=2 needs more than 3^15 prefix points (limit 16777216); "
+         "pass an explicit depth <= 15 for the bound 6.97e-08"),
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,,2", "--depth", "5"],
+         "--digits '0,,2'"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -67,14 +67,57 @@ class TestBlockOperator:
         assert image.a[0] == pytest.approx(-math.log(2.5), rel=1e-14)
         assert abs(image.a[0] - (-math.log(2.0))) > 0.2
 
-    def test_missing_index_named(self):
-        with pytest.raises(ValueError, match="a_22"):
-            renorm1_apply(hofbauer(20), 2, n_out=11)
-
     def test_passthrough_of_switch_values(self):
         coeffs = WaltersCoefficients(np.zeros(50), b=1.5, d=1.5)
         image = renorm1_apply(coeffs, 2)
         assert image.b == 1.5 and image.d == 1.5
+
+
+U = 2.0**-53
+
+
+class TestOneKernel:
+    """The block operator is the offset sum over C = {k-2, ..., 2k-3}."""
+
+    def test_k2_is_digit_operator_01(self):
+        c = WaltersCoefficients(np.random.default_rng(3).normal(size=999))
+        block = renorm1_apply(c, 2)
+        digit = renorm2_apply(c, DigitSystem(2, (0, 1)))
+        assert np.array_equal(block.a, digit.a)
+
+    def test_k3_is_digit_operator_123(self):
+        # same three terms, summed in opposite orders: each sum errs by at
+        # most 2u times the sum of |terms| (to first order), so they differ
+        # by at most 4u times it
+        c = hofbauer(3000)
+        block = renorm1_apply(c, 3).a
+        digit = renorm2_apply(c, DigitSystem(3, (1, 2, 3))).a
+        n = np.arange(2, block.size + 2)
+        terms = sum(np.abs(c.a[3 * n - j - 2]) for j in (1, 2, 3))
+        assert np.all(np.abs(block - digit) <= 4.0 * U * terms)
+
+    @pytest.mark.parametrize("operator,first", [
+        (functools.partial(renorm1_apply, k=5), 7),  # offsets 7..3
+        (functools.partial(renorm2_apply, ds=DigitSystem(5, (1, 3))), 9),
+    ], ids=["block", "digit"])
+    def test_too_short_names_first_index(self, operator, first):
+        # (Ra)_2 needs a_{2k - min C}; a_2..a_{first-1} stops one short
+        with pytest.raises(ValueError, match=f"input too short: a_{first} required for"):
+            operator(WaltersCoefficients(np.zeros(first - 2)))
+        assert operator(WaltersCoefficients(np.zeros(first - 1))).n_max == 2
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_block_reshape(self, k):
+        c = renorm1_fixed_point(3, -1.0, 5001)
+        m = (c.n_max - 2) // k
+        reference = c.a[1 : 1 + k * m].reshape(m, k).sum(axis=1)
+        got = renorm1_apply(c, k).a
+        if k < 8:
+            # numpy sums fewer than 8 terms left to right, as the kernel does
+            assert np.array_equal(got, reference)
+        else:
+            # from 8 terms on numpy sums pairwise
+            assert np.all(np.abs(got - reference) <= (k + 1) * U * np.abs(reference))
 
 
 class TestBlockFixedPoint:
