@@ -9,9 +9,9 @@ The library computes, end to end and with certified numerics:
   Jacobian (:mod:`runshift.potential`);
 * one renormalization operator on coefficient sequences, with block and
   digit offset sets, and its fixed points: closed forms for blocks, and for
-  digits a quadrature of a kernel integral against the maximal-entropy
-  measure of a digit-restricted Cantor set
-  (:mod:`runshift.renorm`, :mod:`runshift.cantor`);
+  digits a kernel integral against the maximal-entropy measure of a
+  digit-restricted Cantor set, summed from that measure's self-similar
+  moments (:mod:`runshift.renorm`, :mod:`runshift.cantor`);
 * decay of correlations of the 0-cylinder indicator through renewal
   recursions and double tails (:mod:`runshift.decay`), cross-validated by
   an independent run-length Markov chain oracle (:mod:`runshift.oracle`).

@@ -1,4 +1,4 @@
-"""Digit-restricted Cantor sets and certified quadrature of the run kernel.
+"""Digit-restricted Cantor sets and certified integrals of the run kernel.
 
 K(l, k) is the closure of the numbers whose base-k expansion uses only the
 digits c_1 < ... < c_l; its maximal-entropy measure nu puts mass l^-D on
@@ -7,14 +7,27 @@ every depth-D digit cylinder.  The quantity everything here serves is
     I(n) = integral over K of (n - t)^-alpha dnu(t),   alpha = log l / log k,
 
 whose negative is the fixed-point coefficient sequence of the digit
-renormalization operator.  Quadrature enumerates depth-D digit prefixes,
-corrects by the midpoint of the residual cylinder, and reports a certified
-mean-value error bound; an independent Monte Carlo integrator cross-checks
-it from random digit strings.
+renormalization operator.
 
-``quadrature_values`` is the one evaluation loop.  Its prefix points are
-rebuilt by ``_digit_sums`` on each call, with no cache, and one check,
-``_check_kernel``, rejects n outside the kernel's domain before that.
+nu is self-similar: it is the average over the digits c of its images
+under t -> (c + t)/k (Hutchinson 1981).  In the scaled variable
+s = t / sup K that average acts on the moments m_p = E[s^p] as one
+lower-triangular step matrix, so
+
+* ``depth=None``: the moments of nu are the step's fixed point, found by
+  forward substitution;
+* ``depth=D``: D steps from the point mass at sup K / 2 give the moments
+  of the depth-D midpoint rule, which puts mass l^-D at the midpoint of
+  every depth-D cylinder and errs by at most ``error_bound``.
+
+Either way I(n) = n^-alpha sum_p (alpha)_p / p! m_p (sup K / n)^p, summed by
+Horner over all n at once.  ``quadrature_values`` is the one evaluation;
+its bound adds the series' tail and an a-priori rounding bound to the
+midpoint rule's error.  ``prefix_points`` enumerates the cylinder base
+points directly, the independent reference for the series, and an
+independent Monte Carlo integrator cross-checks both from random digit
+strings.  One check, ``_check_kernel``, rejects n outside the kernel's
+domain.
 """
 
 from __future__ import annotations
@@ -30,13 +43,13 @@ __all__ = [
     "quadrature",
     "quadrature_values",
     "error_bound",
-    "required_depth",
     "monte_carlo_integral",
     "self_similarity_check",
     "MAX_POINTS",
 ]
 
 MAX_POINTS = 1 << 24
+U = 2.0**-53  # unit roundoff of double precision
 
 
 @dataclass(frozen=True)
@@ -108,55 +121,140 @@ def _check_kernel(cm: CantorMeasure, n) -> None:
         raise ValueError(f"kernel singularity: n={n} needs n >= 2 and n > sup K = {cm.ds.sup:g}")
 
 
-def error_bound(cm: CantorMeasure, n: int, depth: int) -> float:
-    """Certified quadrature error: alpha (n - sup K)^(-alpha-1) sup K k^-depth."""
-    _check_kernel(cm, n)
+def error_bound(cm: CantorMeasure, n, depth: int):
+    """Certified quadrature error: alpha (n - sup K)^(-alpha-1) sup K k^-depth
+    (elementwise for an array of n)."""
+    _check_kernel(cm, np.min(n))
     sup = cm.ds.sup
     return cm.alpha * (n - sup) ** (-cm.alpha - 1.0) * sup * cm.ds.k ** (-float(depth))
 
 
-def required_depth(cm: CantorMeasure, n: int, tol: float) -> int:
-    """Smallest depth whose certified bound at this n is <= tol, among the
-    depths whose l^depth prefix points fit MAX_POINTS."""
-    usable = [d for d in range(1, MAX_POINTS.bit_length()) if cm.ds.l**d <= MAX_POINTS]
-    for depth in usable:
-        if error_bound(cm, n, depth) <= tol:
-            return depth
-    top = usable[-1]
-    raise ValueError(
-        f"tolerance {tol:g} at n={n} needs more than {cm.ds.l}^{top} prefix points "
-        f"(limit {MAX_POINTS}); pass an explicit depth <= {top} "
-        f"for the bound {error_bound(cm, n, top):.3g}"
-    )
-
-
-def quadrature(
-    cm: CantorMeasure, n: int, depth: int | None = None, tol: float = 1e-8
-) -> tuple[float, float]:
-    """(I(n), bound) at ``depth``, or at the least depth whose bound is <= tol."""
-    if depth is None:
-        depth = required_depth(cm, n, tol)
+def quadrature(cm: CantorMeasure, n: int, depth: int | None = None) -> tuple[float, float]:
+    """(I(n), bound) from the depth-D midpoint rule, or exactly with depth=None."""
     values, bounds = quadrature_values(cm, [n], depth)
     return float(values[0]), float(bounds[0])
 
 
-def quadrature_values(cm: CantorMeasure, ns, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of (I(n), bound) over indices ns at a common depth.
+# Rounding is bounded a priori by counting roundings (Higham, *Accuracy and
+# Stability of Numerical Algorithms*, ch. 3-4): a value that went through N
+# roundings of positive data has relative error at most
+# gamma_N = N u / (1 - N u), and gamma_M, gamma_N compose to gamma_(M+N).
+# Every quantity below is positive, so sums never cancel, and a sum's
+# relative error is at most the largest of its terms' plus one rounding per
+# addition a term passes through.  Underflow adds at most 2^-1074 per
+# operation, far below the last bit of any moment: m_p >= 2^-p / l, the
+# mass of the top digit's cylinder, where s >= 1/2.
 
-    Every depth-D digit cylinder carries mass l^-D and spans an interval of
-    length sup K * k^-D above its base point; the kernel is evaluated at the
-    half-interval midpoint, and |value - I(n)| <= bound for every n.
+
+def _series_coefficients(alpha: float, r: float) -> tuple[list, float, float]:
+    """([(alpha)_p / p! for p <= P], c_(P+1), rho) for the least P whose tail
+    sum_(p>P) (alpha)_p/p! r^p <= c_(P+1) r^(P+1) / (1 - r rho) is below u/4.
+
+    rho bounds the ratio (alpha + p)/(p + 1) of consecutive coefficients for
+    every p > P; for alpha <= 1 it is 1.  r = sup K / n_min is at most 0.75.
+    """
+    coef = [1.0]
+    while True:
+        p = len(coef)
+        coef.append(coef[-1] * (alpha + (p - 1)) / p)
+        rho = max(1.0, (alpha + p) / (p + 1))
+        if r * rho < 1.0 and coef[-1] * r**p / (1.0 - r * rho) <= U / 4:
+            return coef[:-1], coef[-1], rho
+
+
+def _step_matrix(ds: DigitSystem, P: int) -> np.ndarray:
+    """A[p, i] = mean over c of C(p, i) (c / (k sup))^(p-i) k^-i, so that row p
+    expands ((c/sup + s)/k)^p in powers of s.
+
+    Pascal's rule builds each digit's row from the last with entries at most
+    ((c/sup + 1)/k)^p <= 1, so no binomial coefficient overflows, and 0^0 = 1.
+    a_c = c (k-1) / (c_l k) and 1/k are each rounded once, and every level of
+    the rule adds a product and a sum: an entry of row p carries 3p + l
+    roundings, l of them from the mean over digits.
+    """
+    a = np.array([c * (ds.k - 1) / (ds.digits[-1] * ds.k) for c in ds.digits])[:, None]
+    b = 1.0 / ds.k
+    rows = np.zeros((ds.l, P + 1))
+    rows[:, 0] = 1.0
+    A = np.empty((P + 1, P + 1))
+    for p in range(P + 1):
+        A[p] = rows.sum(axis=0) / ds.l
+        step = a * rows
+        step[:, 1:] += b * rows[:, :-1]
+        rows = step
+    return A
+
+
+def _moments(ds: DigitSystem, P: int, depth: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(m_p, N_p) for p <= P: the moments E[s^p] of nu (depth=None) or of the
+    depth-D midpoint rule, and rounding counts with |m^_p - m_p| <= gamma_N_p m_p.
+
+    m_0 = 1 exactly (row 0 of A is 1, 0, ...).  One step A m adds to row p
+    the 3p + l roundings of its entries, 1 of the products and p of the sum,
+    over the largest count among m_0..m_p, which is m_p's.  The fixed point
+    divides a sum of p terms by 1 - A[p, p].  Relative to 1 - k^-p, that
+    denominator carries the 3p + l roundings of A[p, p] (as k^-p <= 1 - k^-p)
+    and 1 of the subtraction; dividing by a factor 1 + theta with
+    |theta| <= gamma_j is within gamma_2j of dividing by 1, so these count
+    twice, and the division once.  The counts of the fixed point are summed
+    from p = 0, which overcounts by 3l + 3.
+    """
+    A = _step_matrix(ds, P)
+    p = np.arange(P + 1, dtype=float)
+    if depth is not None:
+        m = 0.5**p  # the point mass at s = 1/2, exact
+        for _ in range(depth):
+            m = A @ m
+        counts = depth * (4.0 * p + ds.l + 1.0)
+    else:
+        m = np.empty(P + 1)
+        m[0] = 1.0
+        for q in range(1, P + 1):
+            m[q] = (A[q, :q] @ m[:q]) / (1.0 - A[q, q])
+        counts = np.cumsum(10.0 * p + 3.0 * ds.l + 3.0)
+    counts[0] = 0.0
+    return m, counts
+
+
+def quadrature_values(
+    cm: CantorMeasure, ns, depth: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vector of (I(n), bound) over indices ns, with |value - I(n)| <= bound.
+
+    With ``depth`` the value is the depth-D midpoint rule and the bound
+    starts from its ``error_bound``; with ``depth=None`` it is the integral
+    against nu itself.  The bound adds the series' tail past P terms, with
+    P taken at the smallest n, and the rounding bound of the moments, the
+    coefficients (3p roundings), their products (1), Horner (2p + 1),
+    r = sup K / n rounded once and raised to p (p), numpy's power n^-alpha
+    (4 ulp, so 8) and the last product (1).
     """
     ns = np.asarray(ns, dtype=int)
-    # error_bound checks every n before the prefix points are enumerated
-    bounds = np.array([error_bound(cm, n, depth) for n in ns.tolist()])
-    pts = cm.prefix_points(depth)
-    mid = cm.ds.sup * cm.ds.k ** (-float(depth)) / 2.0
-    out = np.empty(ns.size)
-    for i, n in enumerate(ns):
-        x = float(n) - pts - mid
-        out[i] = np.mean(np.exp(-cm.alpha * np.log(x)))
-    return out, bounds
+    if ns.size == 0:
+        return np.empty(0), np.empty(0)
+    _check_kernel(cm, ns.min())
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be a nonnegative integer, got {depth}")
+    ds = cm.ds
+    r = ds.digits[-1] / ((ds.k - 1) * ns)
+    coef, tail_coef, rho = _series_coefficients(cm.alpha, float(r.max()))
+    P = len(coef) - 1
+    m, counts = _moments(ds, P, depth)
+    terms = np.asarray(coef) * m
+    x = (counts + 6.0 * np.arange(P + 1) + 11.0) * U
+    g = x / (1.0 - x)  # gamma_N
+    errs = terms * g / (1.0 - g)  # relative to the computed term, not the exact one
+    value = np.zeros(ns.size)
+    rounding = np.zeros(ns.size)
+    for j in range(P, -1, -1):
+        value = value * r + terms[j]
+        rounding = rounding * r + errs[j]
+    scale = np.power(ns.astype(float), -cm.alpha)
+    tail = tail_coef * r ** (P + 1) / (1.0 - r * rho)
+    bounds = scale * (tail + rounding)
+    if depth is not None:
+        bounds += error_bound(cm, ns, depth)
+    return scale * value, bounds
 
 
 _MC_CHUNK = 1 << 17
@@ -169,7 +267,9 @@ def monte_carlo_integral(
 
     Draws i.i.d. points of K with uniformly random digits to resolution
     ~2^-40 and returns (estimate, standard error).  Deterministic for a
-    fixed seed: the chunked draw order is fixed.
+    fixed seed: the chunked draw order is fixed.  Each chunk's count, mean
+    and sum of squared deviations are merged into the running ones (Chan,
+    Golub and LeVeque 1979), so only one chunk of values is held at a time.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
@@ -178,18 +278,18 @@ def monte_carlo_integral(
     digits = np.asarray(cm.ds.digits, dtype=float)
     weights = cm.ds.k ** -np.arange(1.0, length + 1.0)
     rng = np.random.default_rng(seed)
-    vals = []
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < samples:
+        chunk = min(samples - count, _MC_CHUNK)
         idx = rng.integers(0, cm.ds.l, size=(chunk, length))
-        t = digits[idx] @ weights
-        vals.append(np.exp(-cm.alpha * np.log(n - t)))
-        remaining -= chunk
-    f = np.concatenate(vals)
-    est = float(np.mean(f))
-    stderr = float(np.std(f, ddof=1) / math.sqrt(samples))
-    return est, stderr
+        f = np.exp(-cm.alpha * np.log(n - digits[idx] @ weights))
+        f_mean = float(np.mean(f))
+        delta = f_mean - mean
+        total = count + chunk
+        mean += delta * chunk / total
+        m2 += float(np.sum((f - f_mean) ** 2)) + delta * delta * count * chunk / total
+        count = total
+    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def self_similarity_check(cm: CantorMeasure, n: int, depth: int) -> float:

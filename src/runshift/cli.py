@@ -72,6 +72,11 @@ def _write_table(args, default_name: str, meta: dict, columns: dict) -> str:
     return path
 
 
+def _depth_field(depth: int | None):
+    """The header's depth: the midpoint-rule depth, or ``exact`` for the series."""
+    return "exact" if depth is None else depth
+
+
 def _parse_digits(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -142,7 +147,7 @@ def _cmd_fixed_point(args) -> int:
     else:
         fp = renorm2_fixed_point(operator.keywords["ds"], args.nmax, depth=args.depth, b=args.b)
         coeffs = fp.coeffs
-        meta.update(depth=fp.depth, alpha=fp.measure.alpha)
+        meta.update(depth=_depth_field(fp.depth), alpha=fp.measure.alpha)
     meta.update(b=args.b, nmax=args.nmax)
     image = operator(coeffs)
     n = np.arange(2, coeffs.n_max + 1)
@@ -171,7 +176,7 @@ def _cmd_integrate(args) -> int:
     cm = CantorMeasure(ds)
     value, bound = quadrature(cm, args.n, depth=args.depth)
     meta = {"command": "integrate", "k": args.k, "digits": args.digits,
-            "n": args.n, "depth": args.depth, "alpha": cm.alpha}
+            "n": args.n, "depth": _depth_field(args.depth), "alpha": cm.alpha}
     columns = {"n": [args.n], "I": [value], "bound": [bound]}
     if args.mc:
         est, stderr = monte_carlo_integral(cm, args.n, args.mc, args.seed)
@@ -253,7 +258,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (type 1)")
     p.add_argument("--digits", help="comma list c_1,...,c_l (type 2)")
-    p.add_argument("--depth", type=int, help="quadrature depth (type 2)")
+    p.add_argument("--depth", type=int,
+                   help="midpoint-rule depth (type 2; default: the exact series)")
     p.add_argument("--b", type=float, default=0.0, help="free switch-cylinder value")
     p.add_argument("--nmax", type=int, default=1000)
     common(p)
@@ -273,7 +279,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=14)
+    p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
     p.add_argument("--mc", type=int, help="add a Monte Carlo cross-check with this many samples")
     p.add_argument("--seed", type=int, default=0)
     common(p)

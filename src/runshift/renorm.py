@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorMeasure, DigitSystem, _digit_sums, quadrature_values, required_depth
+from .cantor import CantorMeasure, DigitSystem, _digit_sums, quadrature_values
 from .sequences import EtaSequence
 
 __all__ = [
@@ -186,25 +186,23 @@ class QuadratureFixedPoint:
     coeffs: WaltersCoefficients
     bounds: np.ndarray
     measure: CantorMeasure
-    depth: int
+    depth: int | None  # None: the exact series, no quadrature
 
 
 def renorm2_fixed_point(
     ds: DigitSystem, n_max: int, depth: int | None = None, b: float = 0.0
 ) -> QuadratureFixedPoint:
-    """Fixed point of the digit operator via Cantor-measure quadrature.
+    """Fixed point of the digit operator from the Cantor-measure integral.
 
     a_n = -I(n) for 2 <= n <= n_max, where I is the kernel integral over
-    K(l, k) at exponent alpha = log l / log k.  The residual under
-    renorm2_apply is bounded by (l + 1) times the per-index quadrature
-    bound.  In the degenerate case l = k with contiguous digits the
-    integral is -log(n/(n-1)) exactly.
+    K(l, k) at exponent alpha = log l / log k, exact by default or from the
+    depth-D midpoint rule.  The residual under renorm2_apply is bounded by
+    (l + 1) times the per-index bound.  In the degenerate case l = k with
+    contiguous digits the integral is log(n/(n-1)) exactly.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     cm = CantorMeasure(ds)
-    if depth is None:
-        depth = required_depth(cm, 2, 1e-8)
     ns = np.arange(2, n_max + 1)
     vals, bounds = quadrature_values(cm, ns, depth)
     return QuadratureFixedPoint(

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from runshift import (
     quadrature_values,
     self_similarity_check,
 )
-from runshift.cantor import error_bound, required_depth
+from runshift.cantor import U, error_bound
 
 LOG2_LOG3 = 0.6309297535714574
 
@@ -98,11 +99,12 @@ class TestQuadrature:
         assert abs(v12 - v16) <= b12
 
     def test_enumeration_cap(self, lebesgue3):
+        # the limit binds the enumerator only; the series needs no prefix points
         with pytest.raises(ValueError, match="enumeration limit"):
-            quadrature(lebesgue3, 2, depth=20)
+            lebesgue3.prefix_points(20)
 
     def test_no_prefix_tables_retained(self):
-        # prefix points are rebuilt on each call; a depth-18 table alone is 3 MB
+        # nothing is kept between calls; a depth-18 prefix table alone would be 3 MB
         cm = CantorMeasure(DigitSystem(3, (0, 2)))
         tracemalloc.start()
         try:
@@ -115,16 +117,112 @@ class TestQuadrature:
             tracemalloc.stop()
         assert retained < 0.1e6
 
-    def test_required_depth_honors_bound(self, middle_thirds):
-        depth = required_depth(middle_thirds, 2, 1e-8)
-        assert error_bound(middle_thirds, 2, depth) <= 1e-8
-        assert error_bound(middle_thirds, 2, depth - 1) > 1e-8
-
     def test_default_depth_certifies_1e8(self, middle_thirds):
         value, bound = quadrature(middle_thirds, 2)
         assert bound <= 1e-8
         v18, _ = quadrature(middle_thirds, 2, depth=18)
         assert abs(value - v18) <= 1e-8
+
+
+def _direct_midpoint_sum(cm, n, depth):
+    """(value, error bound) of the depth-D midpoint rule summed point by point.
+
+    Relative error of one kernel value: the base points are sums of D
+    rounded products (D + 3 roundings of at most sup K), the midpoint shift
+    and the two subtractions in x = n - t - mid add 2 of sup K and 2 of n;
+    through (n - t)^-alpha these give alpha ((D + 5) sup + 2 n) / (n - sup)
+    units.  numpy's log and exp err by at most 4 ulp each: 9 alpha |log x|
+    units with the product by alpha, and 8 more.  fsum rounds once and the
+    division by l^D once.
+    """
+    sup = cm.ds.sup
+    x = float(n) - cm.prefix_points(depth) - sup * cm.ds.k ** (-float(depth)) / 2.0
+    value = math.fsum(np.exp(-cm.alpha * np.log(x)).tolist()) / x.size
+    log_x = max(abs(math.log(n - sup)), math.log(n))
+    rel = cm.alpha * ((depth + 5) * sup + 2 * n) / (n - sup) + 9 * cm.alpha * log_x + 10
+    return value, rel * U * value
+
+
+def _mp_integral(ds, alpha, ns, dps=30):
+    """I(n) against nu to about 10^-dps, from the moments mu_p = E[t^p] of the
+    self-similarity mu_p (k^p - 1) = (1/l) sum_c sum_(i<p) C(p, i) c^(p-i) mu_i
+    in exact-integer coefficients, summed until a term falls below 10^-dps
+    (the terms then fall at least geometrically, by sup K / n <= 0.75)."""
+    out = []
+    with mpmath.workdps(dps + 10):
+        mu = [mpmath.mpf(1)]
+        a = mpmath.mpf(alpha)
+        for n in ns:
+            total, coef, p = mpmath.mpf(0), mpmath.mpf(1), 0
+            while True:
+                if p == len(mu):
+                    acc = sum(math.comb(p, i) * sum(c ** (p - i) for c in ds.digits) * mu[i]
+                              for i in range(p))
+                    mu.append(acc / (ds.l * (ds.k**p - 1)))
+                term = coef * mu[p] / mpmath.mpf(n) ** p
+                total += term
+                if term < mpmath.mpf(10) ** -(dps + 2):
+                    break
+                p += 1
+                coef *= (a + p - 1) / p
+            out.append(total * mpmath.mpf(n) ** -a)
+    return out
+
+
+class TestMomentSeries:
+    @pytest.mark.parametrize("k,digits,depths", [
+        (3, (0, 2), (6, 12, 18)),
+        (3, (1, 3), (6, 12, 18)),  # sup K = 1.5: ratio 0.75 at n = 2
+        (2, (0, 2), (6, 12, 18)),  # sup K = 2: n >= 3
+        (5, (0, 2, 4), (6, 9, 12)),
+        (3, (0, 1, 2), (6, 9, 12)),
+    ])
+    def test_matches_direct_midpoint_sum(self, k, digits, depths):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        n0 = max(2, math.floor(cm.ds.sup) + 1)
+        ns = [n0, n0 + 1, 50, 1000]
+        for depth in depths:
+            values, bounds = quadrature_values(cm, ns, depth)
+            # the bound beyond the midpoint rule's own error: tail and rounding
+            series = bounds - error_bound(cm, np.array(ns), depth)
+            for n, v, s in zip(ns, values, series):
+                direct, direct_err = _direct_midpoint_sum(cm, n, depth)
+                assert abs(v - direct) <= s + direct_err, (depth, n)
+                assert s <= 1e3 * U * v  # the rounding bound is not vacuous
+
+    @pytest.mark.parametrize("k,digits,ns", [
+        (5, (0, 3), [2, 3, 7]),  # sup K = 0.75
+        (3, (0, 2), [2, 3, 7]),  # sup K = 1
+        (3, (1, 3), [2, 3, 7]),  # sup K = 1.5
+        (2, (0, 2), [3, 4, 7]),  # sup K = 2
+    ])
+    def test_exact_series_within_bound_of_mpmath(self, k, digits, ns):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        values, bounds = quadrature_values(cm, ns)
+        for v, b, ref in zip(values, bounds, _mp_integral(cm.ds, cm.alpha, ns)):
+            assert abs(mpmath.mpf(v) - ref) <= b
+            assert b <= 1e-13 * v
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_all_digits_give_log1p(self, k):
+        # l = k: nu is Lebesgue measure on [0, 1] and alpha = 1 exactly
+        cm = CantorMeasure(DigitSystem(k, tuple(range(k))))
+        n = np.arange(2, 1001)
+        values, bounds = quadrature_values(cm, n)
+        ref = np.log1p(1.0 / (n - 1.0))  # 1/(n-1) rounded once, log1p within 4 ulp
+        assert np.all(np.abs(values - ref) <= bounds + 9 * U * ref)
+
+    @pytest.mark.parametrize("depth", [None, 0, 12])
+    def test_empty_ns(self, middle_thirds, depth):
+        values, bounds = quadrature_values(middle_thirds, [], depth)
+        assert values.shape == bounds.shape == (0,)
+
+    def test_exact_within_quadrature_bounds(self, middle_thirds):
+        ns = np.arange(2, 200)
+        exact, exact_b = quadrature_values(middle_thirds, ns)
+        for depth in (4, 10, 18):
+            v, b = quadrature_values(middle_thirds, ns, depth)
+            assert np.all(np.abs(v - exact) <= b + exact_b)
 
 
 class TestMonteCarlo:
@@ -136,6 +234,21 @@ class TestMonteCarlo:
     def test_lebesgue_log2(self, lebesgue3):
         est, se = monte_carlo_integral(lebesgue3, 2, 200_000, seed=3)
         assert abs(est - math.log(2.0)) <= 4.0 * se
+
+    def test_streamed_moments_match_all_draws(self, middle_thirds):
+        # three chunks merged by Chan's formula against one pass over the
+        # same draws, kept whole
+        samples, seed, chunk = 300_000, 11, 1 << 17
+        est, se = monte_carlo_integral(middle_thirds, 3, samples, seed)
+        rng = np.random.default_rng(seed)
+        length = math.ceil(40.0 / math.log2(3))
+        weights = 3.0 ** -np.arange(1.0, length + 1.0)
+        t = np.concatenate([
+            np.array([0.0, 2.0])[rng.integers(0, 2, size=(min(chunk, samples - s), length))]
+            @ weights for s in range(0, samples, chunk)])
+        f = (3.0 - t) ** -middle_thirds.alpha
+        assert est == pytest.approx(f.mean(), rel=1e-14)
+        assert se == pytest.approx(f.std(ddof=1) / math.sqrt(samples), rel=1e-12)
 
     def test_seed_reproducibility(self, middle_thirds):
         a = monte_carlo_integral(middle_thirds, 5, 50_000, seed=42)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import runshift
+from runshift import CantorMeasure, DigitSystem, quadrature_values
 from runshift.cli import main
 
 
@@ -77,6 +78,19 @@ class TestFixedPoint:
         mask = ~np.isnan(data["Ra"])
         assert np.max(data["residual"][mask]) < 1e-5
 
+    def test_type2_default_is_exact(self, tmp_path):
+        # l = k = 3: a_n = -log(n/(n-1)), from the series with no depth
+        out = tmp_path / "fp2.csv"
+        rc = main(["fixed-point", "--type2", "--k", "3", "--digits", "0,1,2",
+                   "--nmax", "50", "--out", str(out)])
+        assert rc == 0
+        meta, data = read_csv(out)
+        assert meta["depth"] == "exact"
+        n = data["n"]
+        _, bounds = quadrature_values(CantorMeasure(DigitSystem(3, (0, 1, 2))), n)
+        ref = np.log1p(1.0 / (n - 1.0))
+        assert np.all(np.abs(data["a"] + ref) <= bounds + 9 * 2.0**-53 * ref)
+
     def test_needs_exactly_one_type(self, tmp_path, capsys):
         rc = main(["fixed-point", "--k", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -143,6 +157,15 @@ class TestIntegrate:
         meta, data = read_csv(out)
         assert meta["seed"] == "7"
         assert abs(data["mc"][0] - data["I"][0]) <= 4.0 * data["mc_stderr"][0]
+
+    def test_default_is_exact(self, tmp_path):
+        out = tmp_path / "i.csv"
+        assert main(["integrate", "--k", "3", "--digits", "0,1,2", "--n", "2",
+                     "--out", str(out)]) == 0
+        meta, data = read_csv(out)
+        assert meta["depth"] == "exact"
+        assert abs(data["I"][0] - math.log(2.0)) <= data["bound"][0] + 2.0**-52
+        assert data["bound"][0] < 1e-14
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["integrate", "--k", "3", "--digits", "0,2", "--n", "3",
@@ -301,10 +324,8 @@ class TestBadInput:
          "geometric(ratio=0.3) underflows double precision at eta_620"),
         (["decay", "--family", "geometric:0.3", "--qmax", "100", "--nmax", "2000"],
          "geometric(ratio=0.3) underflows double precision at eta_620"),
-        # the default depth for 1e-8 is past the 3^15 prefix points that fit
-        (["fixed-point", "--type2", "--k", "3", "--digits", "0,1,2", "--nmax", "50"],
-         "tolerance 1e-08 at n=2 needs more than 3^15 prefix points (limit 16777216); "
-         "pass an explicit depth <= 15 for the bound 6.97e-08"),
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--depth", "-1"],
+         "depth must be a nonnegative integer, got -1"),
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,,2", "--depth", "5"],
          "--digits '0,,2'"),
     ])
