@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -44,37 +45,56 @@ from .sequences import (
 __all__ = ["main", "entry"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK = 4096  # rows (CSV) or cells (JSON) joined per write: bounded memory, fewer calls
 
 
-def _write_table(args, default_name: str, meta: dict, columns: dict) -> str:
+def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) -> int:
+    """Stream the table to its file and report it.  CSV cells are ``repr`` of floats
+    and ``str`` of the rest; JSON is ``json.dumps(doc, indent=1)`` with float cells.
+    Each column is converted once: ``float.__repr__`` maps over a float64 array."""
     path = args.out or os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
-    if args.out_format == "json":
-        doc = {
-            "meta": {"version": __version__, **meta},
-            "columns": list(columns),
-            "data": {k: [float(x) for x in v] for k, v in columns.items()},
-        }
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        lines = [f"# runshift {__version__}"]
-        lines += [f"# {k}={meta[k]}" for k in meta]
-        lines.append(",".join(columns))
-        cols = list(columns.values())
-        for row in zip(*cols):
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
+    as_json = args.out_format == "json"
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        if not as_json and col.dtype.kind != "f":
+            cells.append(map(str, col.tolist()))
+            continue
+        text = map(float.__repr__, col.astype(float, copy=False))
+        finite = not as_json or np.isfinite(col).all()
+        cells.append(text if finite else (_JSON_NONFINITE.get(t, t) for t in text))
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
+        if as_json:
+            head = {"meta": {"version": __version__, **meta}, "columns": list(columns)}
+            fh.write(json.dumps(head, indent=1).removesuffix("\n}") + ',\n "data": {')
+            for i, (name, col) in enumerate(zip(columns, cells)):
+                # indent=1 layout: "[]" when empty, else one cell a line, comma-separated
+                chunks = iter(lambda: ",\n   ".join(islice(col, _CHUNK)), "")
+                fh.write(f"{',' if i else ''}\n  {json.dumps(name)}: [")
+                fh.writelines(map(str.__add__, chain(["\n   "], repeat(",\n   ")), chunks))
+                fh.write("\n  ]" if len(columns[name]) else "]")
+            fh.write("\n }\n}\n" if columns else "}\n}\n")
+        else:
+            fh.write(f"# runshift {__version__}\n")
+            fh.writelines(f"# {k}={v}\n" for k, v in meta.items())
+            fh.write(",".join(columns) + "\n")
+            rows = (",".join(row) + "\n" for row in zip(*cells))
+            fh.writelines(iter(lambda: "".join(islice(rows, _CHUNK)), ""))
+    print(f"wrote {path} ({note})")
+    return 0
 
 
 def _depth_field(depth: int | None):
     """The header's depth: the midpoint-rule depth, or ``exact`` for the series."""
     return "exact" if depth is None else depth
+
+
+def _positive(text: str) -> int:
+    """argparse type of an optional count flag, so that 0 is named, not ignored."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
@@ -85,25 +105,27 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 
 def _read_coeffs(path: str) -> WaltersCoefficients:
-    """Read columns n,a of a table as ``_write_table`` writes it: CSV (metadata
-    lines ignored) or JSON (``data.n``, ``data.a``)."""
+    """Read columns n,a of a table as ``_write_table`` writes it: CSV (``#`` lines
+    ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``)."""
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    is_json = text.lstrip().startswith("{")
+    if is_json:
         data = json.loads(text).get("data", {})
         rows = list(zip(data.get("n", []), data.get("a", [])))
     else:
         lines = (line.strip() for line in text.splitlines())
         rows = [line.split(",") for line in lines if line and not line.startswith("#")]
     ns, vals = [], []
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(row) < 2:
             raise ValueError(f"{path}: row {row[0]!r} has one column; expected n,a")
         try:
-            n = int(float(row[0]))
-            a = float(row[1])
-        except ValueError:
-            continue  # header row
+            n, a = int(float(row[0])), float(row[1])
+        except (TypeError, ValueError):
+            if i == 0 and not is_json:
+                continue  # header row
+            raise ValueError(f"{path}: row {','.join(map(str, row))!r} is not n,a") from None
         ns.append(n)
         vals.append(a)
     if not ns or ns != list(range(2, 2 + len(ns))):
@@ -131,9 +153,7 @@ def _cmd_eta(args) -> int:
     eta = make_eta(*parse_family(args.family), args.nmax)
     table = sequence_table(eta)
     meta = {"command": "eta", "family": args.family, "nmax": args.nmax}
-    path = _write_table(args, "eta.csv", meta, table)
-    print(f"wrote {path} ({eta.n_max} rows, W={eta.W()!r})")
-    return 0
+    return _write_table(args, "eta.csv", meta, table, f"{eta.n_max} rows, W={eta.W()!r}")
 
 
 def _cmd_fixed_point(args) -> int:
@@ -154,11 +174,10 @@ def _cmd_fixed_point(args) -> int:
     ra = np.full(n.size, np.nan)
     ra[: image.a.size] = image.a
     res = np.abs(coeffs.a - ra)
-    path = _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
-                        {"n": n, "a": coeffs.a, "Ra": ra, "residual": res})
     sup = float(res[: image.a.size].max())
-    print(f"wrote {path} (sup residual {sup!r} over {image.a.size} indices)")
-    return 0
+    return _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
+                        {"n": n, "a": coeffs.a, "Ra": ra, "residual": res},
+                        f"sup residual {sup!r} over {image.a.size} indices")
 
 
 def _cmd_apply(args) -> int:
@@ -166,9 +185,8 @@ def _cmd_apply(args) -> int:
     image = operator(_read_coeffs(args.infile))
     meta = {"command": "apply", **fields, "in": args.infile}
     n = np.arange(2, image.n_max + 1)
-    path = _write_table(args, "applied.csv", meta, {"n": n, "a": image.a})
-    print(f"wrote {path} ({image.a.size} rows)")
-    return 0
+    return _write_table(args, "applied.csv", meta, {"n": n, "a": image.a},
+                        f"{image.a.size} rows")
 
 
 def _cmd_integrate(args) -> int:
@@ -178,21 +196,22 @@ def _cmd_integrate(args) -> int:
     meta = {"command": "integrate", "k": args.k, "digits": args.digits,
             "n": args.n, "depth": _depth_field(args.depth), "alpha": cm.alpha}
     columns = {"n": [args.n], "I": [value], "bound": [bound]}
-    if args.mc:
+    if args.mc is not None:
         est, stderr = monte_carlo_integral(cm, args.n, args.mc, args.seed)
         meta.update({"mc_samples": args.mc, "seed": args.seed})
         columns.update({"mc": [est], "mc_stderr": [stderr]})
-    path = _write_table(args, "integral.csv", meta, columns)
-    print(f"wrote {path} (I({args.n})={value!r} +- {bound!r})")
-    return 0
+    return _write_table(args, "integral.csv", meta, columns,
+                        f"I({args.n})={value!r} +- {bound!r}")
 
 
 def _cmd_decay(args) -> int:
     family, params = parse_family(args.family)
-    nmax = args.nmax or max(args.qmax + 2, args.oracle_trunc + 1, 64)
-    if not args.nmax and family == "geometric" and 0.0 < params["ratio"] < 1.0:
-        # default only: the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
-        nmax = min(nmax, 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])))
+    nmax = args.nmax
+    if nmax is None:
+        nmax = max(args.qmax + 2, args.oracle_trunc + 1, 64)
+        if family == "geometric" and 0.0 < params["ratio"] < 1.0:
+            # the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
+            nmax = min(nmax, 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])))
     eta = make_eta(family, params, nmax)
     chain = build_chain(eta, args.oracle_trunc)
     c = correlation(chain, np.arange(1, args.qmax + 1))
@@ -200,15 +219,13 @@ def _cmd_decay(args) -> int:
     meta = {"command": "decay", "family": args.family, "qmax": args.qmax,
             "oracle_trunc": args.oracle_trunc, "nmax": nmax,
             "eps_trunc": chain.eps_trunc}
-    if args.mc_paths:
+    if args.mc_paths is not None:
         mc = sample_paths(chain, args.qmax, args.mc_paths, args.seed)
         meta.update({"mc_paths": args.mc_paths, "seed": args.seed})
         table["C_mc"] = mc["estimate"][1:]
         table["mc_stderr"] = mc["stderr"][1:]
         table["eps_trunc"] = np.full(args.qmax, chain.eps_trunc)
-    path = _write_table(args, "decay.csv", meta, table)
-    print(f"wrote {path} (eps_trunc={chain.eps_trunc!r})")
-    return 0
+    return _write_table(args, "decay.csv", meta, table, f"eps_trunc={chain.eps_trunc!r}")
 
 
 def _cmd_inverse(args) -> int:
@@ -220,11 +237,10 @@ def _cmd_inverse(args) -> int:
     dq = eta.double_tail_grid()[1 : args.qmax + 1]
     meta = {"command": "inverse", "target": args.target, "qmax": args.qmax,
             "shift": delta, "max_rel_err": rel}
-    path = _write_table(args, "inverse.csv", meta,
+    return _write_table(args, "inverse.csv", meta,
                         {"q": q, "d": d[:-1], "eta": eta.values[: args.qmax],
-                         "D": dq, "d_shift": d[1:], "rel_err": np.abs(dq - d[1:]) / d[1:]})
-    print(f"wrote {path} (shift delta={delta}, max rel err {rel!r})")
-    return 0
+                         "D": dq, "d_shift": d[1:], "rel_err": np.abs(dq - d[1:]) / d[1:]},
+                        f"shift delta={delta}, max rel err {rel!r}")
 
 
 # -- parser ------------------------------------------------------------------
@@ -241,74 +257,58 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="output path (default: RUNSHIFT_OUT_DIR)")
         p.add_argument("--out-format", choices=["csv", "json"], default="csv")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("eta", help="tabulate a weight family: n, eta, T, a")
+    def operator_flags(p):
+        p.add_argument("--type1", action="store_true", help="block operator")
+        p.add_argument("--type2", action="store_true", help="digit operator (needs --digits)")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--digits", help="comma list c_1,...,c_l (type 2)")
+
+    p = command("eta", _cmd_eta, "tabulate a weight family: n, eta, T, a")
     p.add_argument("--family", required=True, help="power:G | stretched:T | geometric:R")
     p.add_argument("--nmax", type=int, default=10000)
-    common(p)
-    p.set_defaults(run=_cmd_eta)
 
-    p = sub.add_parser("fixed-point",
-                       help="renormalization fixed point: n, a, Ra, residual")
-    p.add_argument("--type1", action="store_true", help="block operator (needs --a2)")
-    p.add_argument("--type2", action="store_true", help="digit operator (needs --digits)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (type 1)")
-    p.add_argument("--digits", help="comma list c_1,...,c_l (type 2)")
+    p = command("fixed-point", _cmd_fixed_point, "renormalization fixed point: n, a, Ra, residual")
+    operator_flags(p)
+    p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (needed by --type1)")
     p.add_argument("--depth", type=int,
                    help="midpoint-rule depth (type 2; default: the exact series)")
     p.add_argument("--b", type=float, default=0.0, help="free switch-cylinder value")
     p.add_argument("--nmax", type=int, default=1000)
-    common(p)
-    p.set_defaults(run=_cmd_fixed_point)
 
-    p = sub.add_parser("apply",
-                       help="apply a renormalization operator to a coefficient table: n, a")
-    p.add_argument("--type1", action="store_true")
-    p.add_argument("--type2", action="store_true")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--digits")
+    p = command("apply", _cmd_apply, "apply a renormalization operator to a table: n, a")
+    operator_flags(p)
     p.add_argument("--in", dest="infile", required=True, help="CSV or JSON table with columns n,a")
-    common(p)
-    p.set_defaults(run=_cmd_apply)
 
-    p = sub.add_parser("integrate", help="Cantor-measure kernel integral: n, I, bound")
+    p = command("integrate", _cmd_integrate, "Cantor-measure kernel integral: n, I, bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
-    p.add_argument("--mc", type=int, help="add a Monte Carlo cross-check with this many samples")
+    p.add_argument("--mc", type=_positive,
+                   help="add a Monte Carlo cross-check with this many samples")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(run=_cmd_integrate)
 
-    p = sub.add_parser(
-        "decay",
-        help="renewal decay table with oracle correlations: "
-        "q, A, V, K, D, C_oracle, C_over_D [, C_mc, mc_stderr, eps_trunc]",
-    )
+    p = command("decay", _cmd_decay, "renewal decay table with oracle correlations: "
+                "q, A, V, K, D, C_oracle, C_over_D [, C_mc, mc_stderr, eps_trunc]")
     p.add_argument("--family", required=True)
     p.add_argument("--qmax", type=int, default=256)
     p.add_argument("--oracle-trunc", type=int, default=10000)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--mc-paths", type=int,
+    p.add_argument("--nmax", type=_positive)
+    p.add_argument("--mc-paths", type=_positive,
                    help="add Monte Carlo columns C_mc, mc_stderr, eps_trunc")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(run=_cmd_decay)
 
-    p = sub.add_parser(
-        "inverse",
-        help="design eta realizing a target decay profile: "
-        "q, d, eta, D, d_shift, rel_err",
-    )
+    p = command("inverse", _cmd_inverse,
+                "design eta realizing a target decay profile: q, d, eta, D, d_shift, rel_err")
     p.add_argument("--target", required=True, help="power:P | geometric:R | stretched:T")
     p.add_argument("--qmax", type=int, default=1000)
-    common(p)
-    p.set_defaults(run=_cmd_inverse)
 
     return parser, sub.choices
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature_values
-from runshift.cli import main
+from runshift.cli import _CHUNK, _write_table, main
 
 
 def read_csv(path):
@@ -141,6 +142,19 @@ class TestApply:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text,row", [
+        ("bad.csv", "# runshift\nn,a,Ra,residual\n2,-0.5,nan,nan\n3,oops,nan,nan\n", "3,oops,nan,nan"),
+        ("bad.json", '{"data": {"n": [2.0, 3.0], "a": [-0.5, null]}}', "3.0,None"),
+    ])
+    def test_unparsable_row_exit_two(self, tmp_path, capsys, name, text, row):
+        bad = tmp_path / name
+        bad.write_text(text)
+        rc = main(["apply", "--type1", "--k", "2", "--in", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(row) in err
 
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),
@@ -312,6 +326,46 @@ class TestPlumbing:
         assert "# family=power:3" in text
 
 
+def reference_table(fmt, meta, columns):
+    """The table as the earlier formatter wrote it, cell by cell."""
+    if fmt == "json":
+        doc = {"meta": {"version": runshift.__version__, **meta}, "columns": list(columns),
+               "data": {k: [float(x) for x in v] for k, v in columns.items()}}
+        return json.dumps(doc, indent=1) + "\n"
+    lines = [f"# runshift {runshift.__version__}"] + [f"# {k}={v}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    for row in zip(*columns.values()):
+        lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+                              for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _special_table(rows):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**60, 0.1, 1e16, 1e-5])
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    return {"n": np.arange(2, 2 + rows), "x": x, "special": np.resize(special, rows),
+            "inf_only": np.r_[np.inf, np.ones(rows - 1)]}
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("meta,columns", [
+        ({"command": "eta", "alpha": np.float64(0.6309297535714574), "in": "dir/a b.csv"},
+         _special_table(2 * _CHUNK + 1)),
+        ({"command": "decay"}, _special_table(2 * _CHUNK)),  # rows fill the write chunks
+        ({"command": "integrate", "depth": "exact"},  # the one-row shape integrate writes
+         {"n": [2], "I": [0.7978997095886927], "bound": [np.float64(1.9e-15)], "mc": [float("nan")]}),
+        ({"command": "apply"}, {"n": np.arange(2, 2), "a": np.array([])}),
+    ], ids=["special", "whole-chunks", "one-row", "empty"])
+    def test_bytes_match_reference(self, tmp_path, capsys, fmt, meta, columns):
+        out = tmp_path / f"t.{fmt}"
+        args = argparse.Namespace(out=str(out), out_format=fmt)
+        assert _write_table(args, "unused", meta, columns, "note") == 0
+        assert out.read_bytes() == reference_table(fmt, meta, columns).encode()
+        assert capsys.readouterr().out == f"wrote {out} (note)\n"
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv,cause", [
         (["eta", "--family", "power:400"], "power(gamma=400.0) underflows double precision at eta_7"),
@@ -328,6 +382,13 @@ class TestBadInput:
          "depth must be a nonnegative integer, got -1"),
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,,2", "--depth", "5"],
          "--digits '0,,2'"),
+        # an optional count set to 0 is named, not taken as absent
+        (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "0"],
+         "argument --mc: must be at least 1, got 0"),
+        (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100",
+          "--mc-paths", "0"], "argument --mc-paths: must be at least 1, got 0"),
+        (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100", "--nmax", "0"],
+         "argument --nmax: must be at least 1, got 0"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
