@@ -18,8 +18,9 @@ from runshift import (
     occupation_sweep,
     renewal_series,
     sample_paths,
-    stretched_tail_report,
 )
+
+U = 2.0**-53  # unit roundoff of double precision
 
 
 def main():
@@ -50,8 +51,6 @@ def main():
     d = correlation_asymptotic(eta, lags)
     for q, cq, dq in zip(lags, c, d):
         print(f"  q = {q:>4}: C(q) = {cq:+.3e}   D(q) = {dq:.3e}   C/D = {cq / dq:+.3f}")
-    slope = np.polyfit(np.log(lags), np.log(np.abs(c)), 1)[0]
-    print(f"log-log slope of |C|: {slope:.3f}")
 
     print("\nMonte Carlo path sampler agrees within four sigma:")
     out = sample_paths(chain, length=16, n_paths=100_000, seed=3)
@@ -64,9 +63,15 @@ def main():
     for q in (2500, 5000, 10_000):
         ratio = st.double_tail(q) / (q * np.exp(-np.sqrt(q)))
         print(f"  D({q:>5}) / (q e^-sqrt q) = {ratio:.4f}")
-    rep = stretched_tail_report(st, [100, 1000, 10_000])
-    print("tail-sum ratios against sqrt(m+1) e^-sqrt(m+1) (limit 2):",
-          np.round(rep["ratio"], 4))
+    print("tails T(m) inside the integral bracket of the tail model:")
+    for m in (100, 1000, 10_000):
+        t = st.tail(m)
+        lo, hi = st.tail_model.sum_tail(m)
+        # widened by the far bracket and the cumulative sum's rounding
+        slack = st.tail_error() + 2.0 * (st.n_max + 2) * U * t
+        print(f"  T({m:>5}) = {t:.4e}   in [{lo:.4e}, {hi:.4e}]")
+        if not lo - slack <= t <= hi + slack:
+            raise SystemExit(f"check failed: T({m}) leaves the tail model's bracket")
 
 
 if __name__ == "__main__":

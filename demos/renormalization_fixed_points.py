@@ -13,7 +13,6 @@ import numpy as np
 
 from runshift import (
     DigitSystem,
-    estimate_gamma,
     eta_from_coeffs,
     renorm1_apply,
     renorm1_fixed_point,
@@ -23,6 +22,15 @@ from runshift import (
     residual,
 )
 
+U = 2.0**-53  # unit roundoff of double precision
+U_LD = float(np.finfo(np.longdouble).eps) / 2.0  # of the extended cumsum in eta_from_coeffs
+
+
+def _require(ok, what: str) -> None:
+    """Exit non-zero when a certified check fails, so running the demo tests it."""
+    if not ok:
+        raise SystemExit(f"check failed: {what}")
+
 
 def main():
     print("== block operator, k = 2, a_2 = -log 2 ==")
@@ -31,9 +39,16 @@ def main():
     print(f"a_n = -log(n/(n-1)) recovered; sup residual {rep.sup_abs:.2e} "
           f"over {rep.n_checked} indices")
     eta = eta_from_coeffs(coeffs)
-    fit = estimate_gamma(eta, 10, 1500)
-    print(f"weights eta_n = 1/n: fitted decay exponent {fit.gamma:.4f} "
-          f"(power-law flag: {fit.power_law})")
+    n = np.arange(1.0, eta.n_max + 1.0)
+    gap = np.max(np.abs(n * eta.values - 1.0))
+    # a priori, with sum |a_n| = log n: each a_n within 8u |a_n| (the alpha
+    # recursion, the reciprocal, log1p), the extended cumsum within
+    # (n-1) u_ld log n, then exp, the cast and the product n eta_n
+    log_n = math.log(eta.n_max)
+    allowed = 8.0 * U * log_n + (eta.n_max - 1) * U_LD * log_n + 3.0 * U
+    print(f"weights eta_n = 1/n exactly: max |n eta_n - 1| = {gap:.1e} "
+          f"<= rounding bound {allowed:.1e}")
+    _require(gap <= allowed, "eta_from_coeffs drifts from 1/n beyond rounding")
 
     print("\n== block operator, k = 3, a_2 = -log 3 ==")
     coeffs = renorm1_fixed_point(3, -math.log(3.0), 3002)
@@ -59,12 +74,26 @@ def main():
 
     print("\n== digit operator, k = 5, digits {0,3}: faster-than-polynomial ==")
     ds5 = DigitSystem(5, (0, 3))
-    fp5 = renorm2_fixed_point(ds5, 2000, depth=12)
+    alpha = ds5.hausdorff_alpha
+    fp5 = renorm2_fixed_point(ds5, 2000)
     eta5 = eta_from_coeffs(fp5.coeffs)
-    n = np.arange(200, 2001)
-    slope = np.polyfit(np.log(n), np.log(-np.log(eta5.values[n - 1])), 1)[0]
-    print(f"alpha = {ds5.hausdorff_alpha:.6f}; weights of order exp(-n^(1-alpha)):")
-    print(f"fitted exponent {slope:.4f} vs 1 - alpha = {1 - ds5.hausdorff_alpha:.4f}")
+    # K lies in [inf K, sup K], so -a_n = I(n) lies between (n - inf K)^-alpha
+    # and (n - sup K)^-alpha, widened by the series bound and edge rounding
+    n = np.arange(2.0, 2001.0)
+    lo = (n - ds5.digits[0] / (ds5.k - 1)) ** -alpha * (1.0 - 2.0 * U) - fp5.bounds
+    hi = (n - ds5.sup) ** -alpha * (1.0 + 2.0 * U) + fp5.bounds
+    inside = (lo <= -fp5.coeffs.a) & (-fp5.coeffs.a <= hi)
+    print(f"alpha = {alpha:.6f}; (n - inf K)^-alpha <= -a_n <= (n - sup K)^-alpha "
+          f"for all n <= 2000: {bool(inside.all())}")
+    _require(inside.all(), "-a_n leaves its pointwise bracket")
+    # summed: -log eta_2000 = sum of -a_n, of order n^(1-alpha)/(1-alpha);
+    # the slack covers the cumsum, exp and log between the two
+    minus_log = -math.log(eta5.values[-1])
+    slack = 2000 * U * math.fsum(hi)
+    lo_sum, hi_sum = math.fsum(lo) - slack, math.fsum(hi) + slack
+    print(f"-log eta_2000 = {minus_log:.3f} in [{lo_sum:.3f}, {hi_sum:.3f}], "
+          f"weights of order exp(-n^(1-alpha)/(1-alpha)), 1 - alpha = {1 - alpha:.4f}")
+    _require(lo_sum <= minus_log <= hi_sum, "-log eta_2000 leaves the summed bracket")
 
 
 if __name__ == "__main__":

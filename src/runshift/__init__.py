@@ -35,7 +35,6 @@ from .decay import (
     decay_table,
     iterates_from_run,
     renewal_series,
-    stretched_tail_report,
 )
 from .oracle import (
     RenewalChain,
@@ -51,7 +50,6 @@ from .potential import (
     ALL_ZEROS,
     ONE_THEN_ZEROS,
     ZERO_THEN_ONES,
-    EquilibriumData,
     SymbolicPoint,
     check_normalization,
     eigenfunction,
@@ -67,11 +65,9 @@ from .potential import (
     zero_cylinder_mass,
 )
 from .renorm import (
-    GammaFit,
     QuadratureFixedPoint,
     WaltersCoefficients,
     coeffs_from_eta,
-    estimate_gamma,
     eta_from_coeffs,
     renorm1_apply,
     renorm1_fixed_point,

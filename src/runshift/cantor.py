@@ -101,14 +101,14 @@ def _digit_sums(digits: np.ndarray, weights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CantorMeasure:
-    """K(l, k) with its maximal-entropy measure and kernel exponent alpha."""
+    """K(l, k) with its maximal-entropy measure."""
 
     ds: DigitSystem
-    alpha: float = None  # defaults to the Hausdorff exponent
 
-    def __post_init__(self):
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.ds.hausdorff_alpha)
+    @property
+    def alpha(self) -> float:
+        """The kernel exponent: the Hausdorff exponent log l / log k."""
+        return self.ds.hausdorff_alpha
 
     def prefix_points(self, depth: int) -> np.ndarray:
         """All l^depth depth-D cylinder base points sum b_i k^-i, built anew."""

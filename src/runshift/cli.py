@@ -246,8 +246,10 @@ def _cmd_inverse(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name, built once: parsing
+    never changes them."""
     parser = argparse.ArgumentParser(
         prog="runshift",
         description="Run-structure thermodynamics on the binary shift: "

@@ -38,7 +38,6 @@ __all__ = [
     "renewal_series",
     "iterates_from_run",
     "correlation_asymptotic",
-    "stretched_tail_report",
     "decay_table",
 ]
 
@@ -121,29 +120,6 @@ def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):
     if np.isscalar(q):
         return eta.double_tail(int(q), tol)
     return np.array([eta.double_tail(int(v), tol) for v in np.asarray(q)])
-
-
-def stretched_tail_report(eta: EtaSequence, ms) -> dict:
-    """Tail sums of exp(-sqrt n) weights against their integral model.
-
-    For eta_n = e^-sqrt(n) the tail sum_{k>=0} eta_{m+k} is of the order
-    sqrt(m+1) e^-sqrt(m+1) with constant 2 (from the integral
-    2 int y e^-y dy); the report carries the measured ratios, which
-    approach 2 from above as m grows.
-    """
-    if eta.family != "stretched" or eta.params.get("theta") != 0.5:
-        raise ValueError("tail report applies to the stretched(theta=1/2) family")
-    ms = np.asarray(list(ms), dtype=int)
-    sums = np.array([eta.tail(int(m)) for m in ms])
-    root = np.sqrt(ms + 1.0)
-    reference = root * np.exp(-root)
-    return {
-        "m": ms,
-        "tail_sum": sums,
-        "reference": reference,
-        "ratio": sums / reference,
-        "limit": 2.0,
-    }
 
 
 def decay_table(

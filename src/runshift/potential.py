@@ -16,7 +16,6 @@ the information the potential, eigenfunction, and Jacobian depend on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,7 +43,6 @@ __all__ = [
     "jacobian",
     "check_normalization",
     "NormalizationReport",
-    "EquilibriumData",
     "equilibrium_table",
 ]
 
@@ -158,20 +156,23 @@ def eigenfunction(
         damp = 1.0
         terms = eta.values[n:] ** beta
         tails = eta.tail_grid(beta)
-        err = math.inf
+        rest = math.inf
         floor = (tol if tol is not None else 1e-13) * scale
         for j in range(1, eta.n_max - n + 1):
             damp /= lam
             series += terms[j - 1] * damp
             # remainder <= lam^-j * sum_{i > n+j} eta_i^beta
-            err = damp * tails[n + j]
-            if err <= floor:
+            rest = damp * tails[n + j]
+            if rest <= floor:
                 break
+        # the grid's sum is certified only to the far bracket's half-width,
+        # which is inf without a tail model
+        err = rest + damp * eta.tail_error(beta)
     value = 1.0 + series / scale
     if tol is not None and not err / scale <= tol * value:
         raise ToleranceError(
             f"eigenfunction certified to relative {err / scale / value:.3g} only; "
-            f"raise n_max for {tol:g}"
+            f"{tol:g} needs a larger n_max or a sharper tail model"
         )
     return value
 
@@ -264,30 +265,6 @@ def check_normalization(eta: EtaSequence, states=range(1, 65), tol: float = 1e-1
         first_violation=int(states[bad[0]]) if bad.size else None,
         ok=bad.size == 0,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class EquilibriumData:
-    """Equilibrium bookkeeping for a run-weight sequence at beta = 1."""
-
-    eta: EtaSequence
-    Z: float
-    beta: float = 1.0
-    lam: float = 1.0
-
-    @classmethod
-    def for_eta(cls, eta: EtaSequence) -> "EquilibriumData":
-        return cls(eta=eta, Z=equilibrium_normalization(eta))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eta": json.loads(self.eta.to_json()),
-                "Z": self.Z,
-                "beta": self.beta,
-                "lambda": self.lam,
-            }
-        )
 
 
 def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:

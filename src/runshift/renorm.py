@@ -37,8 +37,6 @@ __all__ = [
     "QuadratureFixedPoint",
     "residual",
     "ResidualReport",
-    "estimate_gamma",
-    "GammaFit",
 ]
 
 
@@ -230,40 +228,3 @@ def residual(coeffs: WaltersCoefficients, operator) -> ResidualReport:
     diff = np.abs(coeffs.a[: n_top - 1] - image.a[: n_top - 1])
     return ResidualReport(float(diff.max()), n_top - 1)
 
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Least-squares fit of log eta_n against -gamma log n with diagnostics."""
-
-    gamma: float
-    stderr: float
-    r_squared: float
-    curvature: float
-    power_law: bool
-
-
-def estimate_gamma(eta, n_lo: int, n_hi: int) -> GammaFit:
-    """Fit log eta_n ~ -gamma log n over [n_lo, n_hi].
-
-    ``power_law`` is cleared when a quadratic term in log n is needed
-    (|curvature| > 0.02) or the linear fit is poor, as happens for
-    stretched-exponential decay.
-    """
-    values = eta.values if isinstance(eta, EtaSequence) else np.asarray(eta, float)
-    if not 1 <= n_lo < n_hi <= values.size or n_hi - n_lo < 8:
-        raise ValueError(f"degenerate fit range [{n_lo}, {n_hi}]")
-    n = np.arange(n_lo, n_hi + 1)
-    x, y = np.log(n), np.log(values[n_lo - 1 : n_hi])
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    fit = np.polyval(coef, x)
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    curv = float(np.polyfit(x, y, 2)[0])
-    return GammaFit(
-        gamma=float(-coef[0]),
-        stderr=float(math.sqrt(max(cov[0, 0], 0.0))),
-        r_squared=r2,
-        curvature=curv,
-        power_law=abs(curv) <= 0.02 and r2 >= 0.999,
-    )

@@ -8,7 +8,6 @@ from runshift import (
     iterates_from_run,
     make_eta,
     renewal_series,
-    stretched_tail_report,
 )
 
 A1_POWER3 = 0.16809262741929248  # (zeta(3) - 1) / zeta(3)
@@ -142,19 +141,15 @@ class TestScaleInvariance:
 
 
 class TestStretchedTailReport:
-    def test_limit_constant_two(self, stretched_half):
-        report = stretched_tail_report(stretched_half, [10_000])
-        assert 1.8 <= report["ratio"][0] <= 2.2
-
-    def test_monotone_approach(self, stretched_half):
-        ms = [100, 300, 1000, 3000, 10_000]
-        report = stretched_tail_report(stretched_half, ms)
-        gaps = np.abs(report["ratio"] - 2.0)
-        assert np.all(np.diff(gaps) < 0.0)
-
-    def test_family_gate(self, power3):
-        with pytest.raises(ValueError):
-            stretched_tail_report(power3, [100])
+    def test_tails_within_model_bracket(self, stretched_half):
+        # the demo's tail report: T(m) inside the integral bracket down to 1e-41
+        eta = stretched_half
+        for m in (100, 1000, 10_000):
+            t = eta.tail(m)
+            lo, hi = eta.tail_model.sum_tail(m)
+            slack = eta.tail_error() + 2.0 * (eta.n_max + 2) * 2.0**-53 * t
+            assert lo - slack <= t <= hi + slack
+        assert eta.tail(10_000) < 1e-41
 
     def test_faster_family_dominated_termwise(self):
         # exponent 1 - log2/log5 > 1/2, so exp(-n^theta5) <= exp(-sqrt n)

@@ -1,4 +1,4 @@
-"""Property tests and a high-precision reference for the double-tail grid.
+"""Property tests and a high-precision reference for the tail grids.
 
 Needs the optional test packages hypothesis and mpmath (the ``test``
 extra); the module is skipped without them.
@@ -36,6 +36,20 @@ def analytic_eta(draw):
 
 
 GRID_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestTailGrid:
+    @GRID_SETTINGS
+    @given(analytic_eta())
+    def test_tails_within_model_bracket(self, eta):
+        # T(m) = sum_{n>=m} eta_n lies in the tail model's integral bracket
+        # (exact for geometric weights); the grid adds the far bracket's
+        # midpoint and rounds at most n_max+2 times per entry
+        t = eta.tail_grid()
+        for m in np.unique(np.linspace(1, eta.n_max, 17).astype(int)):
+            lo, hi = eta.tail_model.sum_tail(int(m))
+            slack = eta.tail_error() + 2.0 * (eta.n_max + 2) * U * t[m - 1]
+            assert lo - slack <= t[m - 1] <= hi + slack
 
 
 class TestDoubleTailGrid:

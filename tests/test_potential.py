@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,10 @@ from runshift import (
     ALL_ZEROS,
     ONE_THEN_ZEROS,
     ZERO_THEN_ONES,
-    EquilibriumData,
+    EtaSequence,
     NotSummableError,
     SymbolicPoint,
+    ToleranceError,
     check_normalization,
     eigenfunction,
     equilibrium_cylinder,
@@ -107,6 +107,22 @@ class TestEigenfunction:
         ) / power3.eta(n) ** 1.0
         assert val == pytest.approx(brute, abs=1e-9)
 
+    def test_model_less_remainder_not_certified(self):
+        # nothing bounds the weights beyond n_max without a tail model, so a
+        # tolerance cannot be met however fast the stored values decay
+        n = np.arange(1.0, 41.0)
+        for values in (n**-3.0, 0.5 ** (n - 1.0)):
+            with pytest.raises(ToleranceError):
+                eigenfunction(lead_zeros(2), EtaSequence(values), lam=1.01, tol=1e-10)
+
+    @pytest.mark.parametrize("beta,lam", [(1.0, 1.01), (0.8, 1.3), (2.0, 1.05)])
+    def test_supplied_eigenvalue_certified_geometric(self, beta, lam):
+        # geometric(1/2): 1 + sum_j x^j = 1/(1 - x) with x = 2^-beta / lam
+        eta = make_eta("geometric", {"ratio": 0.5}, 200)
+        val = eigenfunction(lead_zeros(3), eta, beta=beta, lam=lam, tol=1e-12)
+        x = 0.5**beta / lam
+        assert val == pytest.approx(1.0 / (1.0 - x), rel=2e-12)
+
     def test_eigenvalue_below_one_rejected(self, power3):
         with pytest.raises(ValueError):
             eigenfunction(lead_zeros(2), power3, lam=0.5)
@@ -194,13 +210,6 @@ class TestJacobian:
 
 
 class TestEquilibriumData:
-    def test_json_dump(self, geometric_half):
-        data = EquilibriumData.for_eta(geometric_half)
-        doc = json.loads(data.to_json())
-        assert doc["Z"] == pytest.approx(8.0)
-        assert doc["beta"] == 1.0 and doc["lambda"] == 1.0
-        assert doc["eta"]["family"] == "geometric"
-
     def test_table_columns(self, power3):
         table = equilibrium_table(power3, 16)
         assert list(table) == ["q", "rho", "mu_raw", "mu_norm", "r", "J_L"]

@@ -8,7 +8,6 @@ from runshift import (
     DigitSystem,
     WaltersCoefficients,
     coeffs_from_eta,
-    estimate_gamma,
     eta_from_coeffs,
     make_eta,
     renorm1_apply,
@@ -148,28 +147,6 @@ class TestBlockFixedPoint:
     def test_positive_a2_rejected(self):
         with pytest.raises(ValueError):
             renorm1_fixed_point(2, 0.1, 100)
-
-
-class TestGammaEstimate:
-    def test_power3(self, power3):
-        fit = estimate_gamma(power3, 10, 1000)
-        assert fit.gamma == pytest.approx(3.0, abs=0.01)
-        assert fit.power_law
-
-    def test_hofbauer_is_gamma_one(self):
-        eta = eta_from_coeffs(renorm1_fixed_point(2, -math.log(2.0), 2000))
-        fit = estimate_gamma(eta, 10, 1500)
-        assert fit.gamma == pytest.approx(1.0, abs=0.01)
-        assert fit.power_law
-
-    def test_stretched_flagged(self, stretched_half):
-        fit = estimate_gamma(stretched_half, 10, 1000)
-        assert not fit.power_law
-        assert abs(fit.curvature) > 0.02
-
-    def test_degenerate_range(self, power3):
-        with pytest.raises(ValueError, match="range"):
-            estimate_gamma(power3, 50, 52)
 
 
 class TestDigitOperator:
