@@ -55,8 +55,10 @@ def main():
     print("\nMonte Carlo path sampler agrees within four sigma:")
     out = sample_paths(chain, length=16, n_paths=100_000, seed=3)
     exact = correlation(chain, 16)
-    print(f"  C(16): paths {out['estimate'][16]:+.5f} +- {out['stderr'][16]:.5f}, "
-          f"chain {exact:+.5f}")
+    est, err = out["estimate"][16], out["stderr"][16]
+    print(f"  C(16): paths {est:+.5f} +- {err:.5f}, chain {exact:+.5f}")
+    if not abs(est - exact) <= 4.0 * err:
+        raise SystemExit("check failed: the path sampler's C(16) is more than 4 stderr off")
 
     print("\n== stretched(1/2): order q e^(-sqrt q), constant ~4 ==")
     st = make_eta("stretched", {"theta": 0.5}, 40_000)

@@ -85,5 +85,4 @@ from .sequences import (
     make_eta,
     parse_family,
     sequence_table,
-    verify_design_shift,
 )

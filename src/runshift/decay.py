@@ -14,15 +14,18 @@ The deficits V_q = 1/2 - A_q then satisfy
     V_q = -sum_{m=1}^{q-1} p_m V_{q-m} + K_q,
     K_q = (1/2) T(q)/W - T(q+1)/W,                          V_1 = K_1,
 
-and the iterates from a run of length s are
+which is the one recursion solved: A_q = 1/2 - V_q, and 1 - A_q =
+1/2 + V_q.  The V form has no constant part, so each V_q is accurate
+relative to its own terms.  The iterates from a run of length s are
 
     B^s_q = sum_{j=1}^{q-1} (eta_{s+j-1}/T(s)) (1 - A_{q-j}) + T(s+q)/T(s).
 
 The predicted size of the correlation at lag q is the double tail
-D(q) = sum_{s>=1} sum_{k>=0} eta_{k+q+s}: polynomial q^(2-gamma) for
-power weights with gamma > 2, and of order q e^(-sqrt q) for
-exp(-sqrt n) weights.  The run-length chain in runshift.oracle provides
-the independent ground truth for all of these quantities.
+D(q) = sum_{s>=1} sum_{k>=0} eta_{k+q+s}, read from the sequence's
+double-tail grid: polynomial q^(2-gamma) for power weights with
+gamma > 2, and of order q e^(-sqrt q) for exp(-sqrt n) weights.  The
+run-length chain in runshift.oracle provides the independent ground
+truth for all of these quantities.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class RenewalSeries:
 
 
 def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
-    """Solve the renewal recursions up to lag qmax.
+    """Solve the deficit recursion up to lag qmax; the iterates are 1/2 - V.
 
     Tails are taken from the sequence's certified grid once and reused
     across the whole sweep.
@@ -75,10 +78,8 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
     p = eta.values[:qmax] / w
     tail_terms = t[1 : qmax + 1] / w
     forcing = 0.5 * t[:qmax] / w - tail_terms
-    jumped = np.concatenate(([0.0], np.cumsum(p[:-1])))  # sum_{m<q} p_m, the 1 in 1 - A
-    iterates = _lagged_solve(p, jumped + tail_terms)
     deficits = _lagged_solve(p, forcing)
-    return RenewalSeries(eta, qmax, w, p, tail_terms, forcing, iterates, deficits)
+    return RenewalSeries(eta, qmax, w, p, tail_terms, forcing, 0.5 - deficits, deficits)
 
 
 def iterates_from_run(
@@ -98,7 +99,7 @@ def iterates_from_run(
     ts = t[s - 1]
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
     tails = t[s : s + qmax] / ts  # T(s+q)/T(s), q = 1..qmax
-    comp = np.concatenate(([0.0], 1.0 - series.iterates[: qmax - 1]))  # 1 - A_i; no A_0 term
+    comp = np.concatenate(([0.0], 0.5 + series.deficits[: qmax - 1]))  # 1 - A_i; no A_0 term
     return np.convolve(ratios, comp)[:qmax] + tails
 
 
@@ -116,10 +117,21 @@ def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):
     """Predicted order D(q) of the correlation at lag q (or at each lag of
     an array).  The sign of the true correlation is a matter for the
     oracle; this is the magnitude scale only, and it is not sharp for
-    geometric weights where the correlation vanishes exactly."""
+    geometric weights where the correlation vanishes exactly.
+
+    An array's lags up to n_max are read from the double-tail grid; the
+    smallest of them carries the largest certified error, so one tol
+    check there covers them all."""
     if np.isscalar(q):
         return eta.double_tail(int(q), tol)
-    return np.array([eta.double_tail(int(v), tol) for v in np.asarray(q)])
+    q = np.asarray(q, dtype=int)
+    near = q <= eta.n_max
+    out = np.empty(q.shape)
+    if near.any():
+        eta.double_tail(int(q[near].min()), tol)  # rejects q < 0 and an unmet tol
+        out[near] = eta.double_tail_grid()[q[near]]
+    out[~near] = [eta.double_tail(int(v), tol) for v in q[~near]]
+    return out
 
 
 def decay_table(
@@ -130,7 +142,7 @@ def decay_table(
     """Columns (q, A, V, K, D, C_oracle, C_over_D) for export."""
     series = renewal_series(eta, qmax)
     q = np.arange(1, qmax + 1)
-    d = correlation_asymptotic(eta, q)
+    d = eta.double_tail_grid()[1 : qmax + 1]  # D(1..qmax); renewal_series needs qmax < n_max
     if oracle_correlations is None:
         c = np.full(qmax, np.nan)
     else:

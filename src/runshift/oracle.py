@@ -74,6 +74,8 @@ def build_chain(eta: EtaSequence, M: int, eps_trunc: float | None = None) -> Ren
     """Build the truncated chain, rejecting M too small for eps_trunc."""
     if M < 2:
         raise ValueError("truncation level M must be at least 2")
+    if M > eta.n_max and not isinstance(eta.tail_model, GeometricTail):
+        raise ToleranceError(f"truncation M={M} needs n_max >= {M}")
     cont, sw = eta.ratio_arrays(M)  # fresh arrays, not views of the tail grid
     cont[M - 1] = 0.0
     sw[M - 1] = 1.0
@@ -84,11 +86,8 @@ def build_chain(eta: EtaSequence, M: int, eps_trunc: float | None = None) -> Ren
         )
     if M <= eta.n_max:
         t = eta.tail_grid()[:M]
-    elif isinstance(eta.tail_model, GeometricTail):
-        # T(m) = T(1) ratio^(m-1), exact at any m
+    else:  # geometric: T(m) = T(1) ratio^(m-1), exact at any m
         t = eta.tail(1) * eta.tail_model.ratio ** np.arange(M)
-    else:
-        raise ToleranceError(f"truncation M={M} needs n_max >= {M}")
     row = t / (2.0 * t.sum())
     return RenewalChain(eta, M, cont, sw, np.vstack([row, row]), eps)
 

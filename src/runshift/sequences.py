@@ -42,7 +42,6 @@ __all__ = [
     "parse_family",
     "make_eta",
     "inverse_design",
-    "verify_design_shift",
     "decay_profile",
     "sequence_table",
     "PowerTail",
@@ -584,9 +583,9 @@ def inverse_design(d, qmax: int, n_max: int | None = None, label: str | None = N
     ``d`` maps q >= 1 to a strictly decreasing, convex-difference profile
     (a callable, or a finite sequence indexed from q=1).  The construction
     sets eta_r = d_r - 2 d_{r+1} + d_{r+2}; double telescoping then gives
-    sum_{s>=1} sum_{k>=0} eta_{k+q+s} = d_{q+1} exactly (the shift is one;
-    see verify_design_shift).  Rejects profiles whose differences fail to
-    stay positive, naming the first bad index.
+    sum_{s>=1} sum_{k>=0} eta_{k+q+s} = d_{q+1} exactly (the shift is one).
+    Rejects profiles whose differences fail to stay positive, naming the
+    first bad index.
     """
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
@@ -618,23 +617,6 @@ def inverse_design(d, qmax: int, n_max: int | None = None, label: str | None = N
     return EtaSequence(
         eta, TargetTail(fn, 1.0, label), "inverse", {"target": label} if label else {}
     )
-
-
-def verify_design_shift(eta: EtaSequence, d, qs=range(1, 17)) -> tuple[int, float]:
-    """Empirical index shift between double_tail(q) and the target profile.
-
-    Returns (delta, max relative error) where delta in {0, 1} minimizes
-    |D(q) - d(q + delta)| over the sampled q.
-    """
-    fn = d if callable(d) else (lambda q, _s=np.asarray(d, float): float(_s[q - 1]))
-    errs = {0: 0.0, 1: 0.0}
-    for q in qs:
-        dq = eta.double_tail(q)
-        for delta in (0, 1):
-            target = fn(q + delta)
-            errs[delta] = max(errs[delta], abs(dq - target) / abs(target))
-    delta = 0 if errs[0] <= errs[1] else 1
-    return delta, errs[delta]
 
 
 def sequence_table(eta: EtaSequence, n_max: int | None = None) -> dict:

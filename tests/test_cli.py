@@ -389,6 +389,9 @@ class TestBadInput:
           "--mc-paths", "0"], "argument --mc-paths: must be at least 1, got 0"),
         (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100", "--nmax", "0"],
          "argument --nmax: must be at least 1, got 0"),
+        # the oracle's truncation, not the ratio arrays it reads, is named
+        (["decay", "--family", "stretched:0.5", "--qmax", "10", "--nmax", "8"],
+         "truncation M=10000 needs n_max >= 10000"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import brute_double_tail
 from runshift import (
+    EtaSequence,
+    ToleranceError,
     correlation_asymptotic,
     decay_table,
     iterates_from_run,
@@ -90,11 +92,17 @@ class TestIteratesFromRun:
 
 
 class TestCorrelationOrder:
-    def test_power3_loglog_slope(self, power3):
+    def test_power3_double_tail_bracket(self, power3):
+        # D(q) = sum_{j>q} T(j) with 1/(2j^2) <= T(j) <= 1/(2(j-1)^2), so by
+        # integral comparison 1/(2(q+1)) <= D(q) <= 1/(2q) + 1/(2q^2): order 1/q
         qs = np.array([128, 181, 256, 362, 512, 724, 1024])
         d = correlation_asymptotic(power3, qs)
-        slope = np.polyfit(np.log(qs), np.log(d), 1)[0]
-        assert slope == pytest.approx(-1.0, abs=0.05)
+        lo_w, hi_w = power3.tail_model.weighted_tail(power3.n_max + 1)
+        # the certified error of the grid plus the rounding of its two cumulative sums
+        slack = ((power3.n_max + 1 - qs) * power3.tail_error() + 0.5 * (hi_w - lo_w)
+                 + 2.0 * (power3.n_max + 2) * 2.0**-53 * d)
+        assert np.all(1.0 / (2.0 * (qs + 1.0)) - slack <= d)
+        assert np.all(d <= 1.0 / (2.0 * qs) + 1.0 / (2.0 * qs**2.0) + slack)
 
     def test_stretched_order_constant(self, stretched_half):
         qs = np.linspace(2500, 10000, 16).astype(int)
@@ -168,3 +176,20 @@ class TestDecayTable:
         assert np.all(np.isnan(table["C_oracle"]))
         table = decay_table(geometric_half, 8, oracle_correlations=np.zeros(8))
         assert np.all(table["C_oracle"] == 0.0)
+
+    def test_d_column_read_from_grid(self, power3, monkeypatch):
+        lags = []
+        scalar = EtaSequence.double_tail
+        monkeypatch.setattr(EtaSequence, "double_tail",
+                            lambda self, q, tol=None: lags.append(q) or scalar(self, q, tol))
+        qs = np.arange(1, 513)
+        table = decay_table(power3, 512)
+        d = correlation_asymptotic(power3, qs, tol=1e-6)
+        assert lags == [1]  # the one tol check, at the lag of largest certified error
+        assert np.array_equal(table["D"], power3.double_tail_grid()[1:513])
+        assert np.array_equal(d, table["D"])
+        with pytest.raises(ToleranceError, match=r"D\(1\)"):
+            correlation_asymptotic(power3, qs, tol=1e-12)
+        # lags past n_max fall back to the tail model, one by one
+        far = [3, power3.n_max + 10]
+        assert correlation_asymptotic(power3, far).tolist() == [scalar(power3, q) for q in far]

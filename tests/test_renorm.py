@@ -245,13 +245,20 @@ class TestDigitFixedPoint:
     def test_k5_alpha_and_eta_order(self):
         ds = DigitSystem(5, (0, 3))
         assert ds.hausdorff_alpha == pytest.approx(0.43067655807339306, abs=1e-12)
+        alpha, u = ds.hausdorff_alpha, 2.0**-53
         fp = renorm2_fixed_point(ds, 2000, depth=12)
         eta = eta_from_coeffs(fp.coeffs)
-        # eta_n of order exp(-n^(1-alpha)): fit log(-log eta_n) against log n
-        n = np.arange(200, 2001)
-        y = np.log(-np.log(eta.values[n - 1]))
-        slope = np.polyfit(np.log(n), y, 1)[0]
-        assert slope == pytest.approx(1.0 - ds.hausdorff_alpha, abs=0.05)
+        # K lies in [inf K, sup K], so -a_n = I(n) lies between (n - inf K)^-alpha
+        # and (n - sup K)^-alpha, widened by the quadrature bound and edge rounding
+        n = np.arange(2.0, 2001.0)
+        lo = (n - ds.digits[0] / (ds.k - 1)) ** -alpha * (1.0 - 2.0 * u) - fp.bounds
+        hi = (n - ds.sup) ** -alpha * (1.0 + 2.0 * u) + fp.bounds
+        assert np.all((lo <= -fp.coeffs.a) & (-fp.coeffs.a <= hi))
+        # summed: -log eta_2000 = sum of -a_n, so eta_n is of order exp(-n^(1-alpha)/(1-alpha));
+        # the slack covers the cumsum, exp and log between the two
+        minus_log = -math.log(eta.values[-1])
+        slack = 2000 * u * math.fsum(hi)
+        assert math.fsum(lo) - slack <= minus_log <= math.fsum(hi) + slack
 
 
 class TestResidualOp:

@@ -15,7 +15,6 @@ from runshift import (
     make_eta,
     parse_family,
     sequence_table,
-    verify_design_shift,
 )
 from runshift.sequences import FAMILIES
 
@@ -109,6 +108,17 @@ class TestTails:
         lo_s, hi_s = small.tail_model.sum_tail(101)
         val_small = float(np.sum(small.values[::-1]))
         assert val_small + lo_s <= big.W() <= val_small + hi_s
+
+    def test_values_and_tails_past_cutoff(self):
+        # past n_max the tail model answers: closed forms n^-3 and r^(n-1)
+        power = make_eta("power", {"gamma": 3.0}, 100)
+        geo = make_eta("geometric", {"ratio": 0.7}, 100)
+        for n in (101, 150, 1000):
+            assert power.eta(n) == pytest.approx(float(n) ** -3.0, rel=1e-15, abs=0)
+            assert geo.eta(n) == pytest.approx(0.7 ** (n - 1), rel=1e-13, abs=0)
+            assert geo.tail(n) == pytest.approx(0.7 ** (n - 1) / 0.3, rel=1e-13, abs=0)
+            # T(m) = sum_{n>=m} n^-3 lies between 1/(2m^2) and 1/(2(m-1)^2)
+            assert 0.5 / n**2 <= power.tail(n) <= 0.5 / (n - 1) ** 2
 
     def test_tolerance_rejection_without_model(self):
         eta = EtaSequence(1.0 / np.arange(1.0, 101.0) ** 3)
@@ -206,8 +216,18 @@ class TestInverseDesign:
         assert np.allclose(eta.values[:20], 2.0 ** (-r - 2.0), rtol=1e-15, atol=0)
         for q in range(1, 33):
             assert eta.double_tail(q) == pytest.approx(2.0 ** -(q + 1), rel=1e-13)
-        delta, err = verify_design_shift(eta, lambda q: 2.0**-q)
-        assert delta == 1 and err < 1e-12
+
+    def test_target_tail_values_are_second_differences(self):
+        fn, label = decay_profile("power:2")
+        eta = inverse_design(fn, qmax=40, label=label)
+        model = eta.tail_model
+        for n in (1, 7, eta.n_max):
+            assert model.value(n) == eta.values[n - 1]
+        # past the cutoff, eta_n = d_n - 2 d_(n+1) + d_(n+2) from the target alone
+        for n in (eta.n_max + 1, 500):
+            d = [float(q) ** -2.0 for q in (n, n + 1, n + 2)]
+            assert eta.eta(n) == pytest.approx(d[0] - 2.0 * d[1] + d[2], rel=1e-12, abs=0)
+        assert model.scaled(3.0).value(9) == 3.0 * model.value(9)
 
     def test_power_target_within_one_percent(self):
         eta = inverse_design(lambda q: float(q) ** -2.0, qmax=100)
@@ -240,6 +260,29 @@ class TestSerialization:
         assert back.tail(5) == eta.tail(5)
         doc = json.loads(eta.to_json())
         assert set(doc) == {"family", "params", "n_max", "values"}
+
+    def test_inverse_round_trip(self):
+        fn, label = decay_profile("stretched:0.5")
+        eta = inverse_design(fn, qmax=40, label=label)
+        far = eta.n_max + 5
+        for seq in (eta, eta.scaled(3.0)):
+            back = EtaSequence.from_json(seq.to_json())
+            assert back.family == "inverse" and back.params == seq.params
+            assert np.array_equal(back.values, seq.values)
+            # the tail model is rebuilt from the target label (and scale)
+            assert back.tail(far) == seq.tail(far)
+            assert back.double_tail(far) == seq.double_tail(far)
+        assert EtaSequence.from_json(eta.scaled(3.0).to_json()).tail(far) == pytest.approx(
+            3.0 * eta.tail(far), rel=1e-15, abs=0)
+
+    def test_custom_bound_round_trip(self):
+        values = 1.0 / np.arange(1.0, 65.0) ** 3
+        eta = make_eta("custom", {"values": values, "bound": ("power", 1.0, 3.0)}, 64)
+        back = EtaSequence.from_json(eta.to_json())
+        assert back.params == {"bound": ["power", 1.0, 3.0]}
+        assert back.tail_model == eta.tail_model
+        assert back.tail_error() == eta.tail_error() < math.inf
+        assert back.tail(70) == eta.tail(70)
 
     def test_table_columns(self, geometric_half):
         table = sequence_table(geometric_half, 10)
