@@ -228,8 +228,8 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    fn, label = decay_profile(args.target)
-    eta = inverse_design(fn, args.qmax, label=label)
+    fn = decay_profile(args.target)
+    eta = inverse_design(fn, args.qmax)
     q = np.arange(1, args.qmax + 1)
     d = np.array([fn(v) for v in range(1, args.qmax + 2)])  # d_q for q = 1..qmax+1
     dq = eta.double_tail_grid()[1 : args.qmax + 1]

@@ -91,11 +91,13 @@ def iterates_from_run(
     """
     if s < 1:
         raise ValueError("run length s must be at least 1")
+    if qmax < 1:
+        raise ValueError(f"qmax must be at least 1, got {qmax}")
+    if s + qmax > eta.n_max + 1:
+        raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
     if series is None or series.qmax < qmax - 1:
         series = renewal_series(eta, max(qmax - 1, 1))
     t = eta.tail_grid()
-    if s + qmax > eta.n_max + 1:
-        raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
     ts = t[s - 1]
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
     tails = t[s : s + qmax] / ts  # T(s+q)/T(s), q = 1..qmax

@@ -163,8 +163,10 @@ def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> d
     Returns arrays over q = 0..length: the empirical C(q) and its standard
     error.  Deterministic for a fixed seed.
     """
-    if length < 1 or n_paths < 1:
-        raise ValueError("need positive length and path count")
+    if length < 1:
+        raise ValueError(f"path length must be at least 1, got {length}")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a standard error, got {n_paths}")
     rng = np.random.default_rng(seed)
     sym = rng.integers(0, 2, size=n_paths)
     m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary[0]) + 1

@@ -156,7 +156,7 @@ def eigenfunction(
         damp = 1.0
         terms = eta.values[n:] ** beta
         tails = eta.tail_grid(beta)
-        rest = math.inf
+        rest = tails[n]  # the whole remainder before the first term
         floor = (tol if tol is not None else 1e-13) * scale
         for j in range(1, eta.n_max - n + 1):
             damp /= lam
@@ -165,6 +165,11 @@ def eigenfunction(
             rest = damp * tails[n + j]
             if rest <= floor:
                 break
+        if tol is None and rest > floor:
+            raise ToleranceError(
+                f"eigenfunction at n={n} leaves a remainder above its floor after "
+                f"the stored terms to n_max={eta.n_max}; use a larger n_max or a tol"
+            )
         # the grid's sum is certified only to the far bracket's half-width,
         # which is inf without a tail model
         err = rest + damp * eta.tail_error(beta)

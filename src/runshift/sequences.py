@@ -8,7 +8,7 @@ summable sequence eta_1, eta_2, ...  This module provides:
   ratio^(n-1)) evaluated to a finite cutoff, together with tail models that
   certify the truncated remainders by integral brackets or closed forms,
   all named in one registry, FAMILIES;
-* custom finite sequences, optionally dominated by an explicit bound;
+* custom finite sequences, EtaSequence(values, tail_model);
 * tail sums T(m) = sum_{n>=m} eta_n, double tails
   D(q) = sum_{m>q} (m-q) eta_m, powered sums W(beta) = sum_n eta_n^beta,
   and first moments, each with a certified error;
@@ -24,7 +24,6 @@ D(q) = sum_{j>q} T(j): one more far-end cumulative sum gives every D(q).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -47,7 +46,6 @@ __all__ = [
     "PowerTail",
     "StretchedTail",
     "GeometricTail",
-    "DominatedTail",
     "TargetTail",
 ]
 
@@ -202,29 +200,6 @@ class GeometricTail(TailModel):
         return GeometricTail(self.ratio, self.scale * c)
 
 
-@dataclass(frozen=True)
-class DominatedTail(TailModel):
-    """Custom values bounded above by an explicit dominating model.
-
-    Only one-sided information is available beyond the cutoff, so brackets
-    are (0, bound); certified errors bottom out at half the dominating tail.
-    """
-
-    bound: TailModel
-
-    def sum_tail(self, m):
-        return 0.0, self.bound.sum_tail(m)[1]
-
-    def weighted_tail(self, m):
-        return 0.0, self.bound.weighted_tail(m)[1]
-
-    def powered(self, beta):
-        return DominatedTail(self.bound.powered(beta))
-
-    def scaled(self, c):
-        return DominatedTail(self.bound.scaled(c))
-
-
 class TargetTail(TailModel):
     """Tails of an inverse-designed sequence, exact from the target profile.
 
@@ -232,10 +207,9 @@ class TargetTail(TailModel):
     sum_{n>=m} eta_n = d_m - d_{m+1} and sum_{n>=m} (n-m) eta_n = d_{m+1}.
     """
 
-    def __init__(self, d, scale: float = 1.0, label: str | None = None):
+    def __init__(self, d, scale: float = 1.0):
         self._d = d
         self.scale = scale
-        self.label = label
 
     def value(self, n):
         d = self._d
@@ -250,7 +224,7 @@ class TargetTail(TailModel):
         return v, v
 
     def scaled(self, c):
-        return TargetTail(self._d, self.scale * c, self.label)
+        return TargetTail(self._d, self.scale * c)
 
 
 def _bracket(lo: float, hi: float) -> tuple[float, float]:
@@ -278,8 +252,6 @@ class EtaSequence:
 
     values: np.ndarray
     tail_model: TailModel | None = None
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
     # beta -> (read-only tail grid, certified half-width of its entries)
     _grids: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -427,53 +399,14 @@ class EtaSequence:
         """(T(m+1)/T(m), eta_m/T(m)) for m = 1..m_max as arrays."""
         return self._ratios(1, m_max)
 
-    # -- rescaling and serialization --------------------------------------
+    # -- rescaling ---------------------------------------------------------
 
     def scaled(self, c: float) -> "EtaSequence":
         """The sequence c*eta; every ratio and normalized quantity is unchanged."""
         if c <= 0.0:
             raise ValueError("scale must be positive")
         model = self.tail_model.scaled(c) if self.tail_model is not None else None
-        params = dict(self.params)
-        params["scale"] = c * params.get("scale", 1.0)
-        return EtaSequence(self.values * c, model, self.family, params)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "params": self.params,
-                "n_max": self.n_max,
-                "values": self.values.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "EtaSequence":
-        doc = json.loads(text)
-        family, params = doc["family"], doc["params"]
-        values = np.asarray(doc["values"], dtype=float)
-        if family in FAMILIES:
-            model: TailModel | None = FAMILIES[family].tail(params[FAMILIES[family].key])
-        elif family == "inverse" and params.get("target"):
-            model = TargetTail(decay_profile(params["target"])[0], label=params["target"])
-        elif family == "custom" and params.get("bound"):
-            model = DominatedTail(_bound_model(params["bound"]))
-        else:
-            model = None
-        if model is not None and "scale" in params:
-            model = model.scaled(params["scale"])
-        return EtaSequence(values, model, family, params)
-
-
-def _bound_model(spec) -> TailModel:
-    """Dominating-bound descriptor: ("geometric", C, r) or ("power", C, gamma)."""
-    kind, c, p = spec[0], float(spec[1]), float(spec[2])
-    if kind not in ("geometric", "power"):
-        raise ValueError(f"unknown bound kind {kind!r}")
-    FAMILIES[kind].check(p)
-    # C * r^n is the geometric model r^(n-1) with scale C*r
-    return FAMILIES[kind].tail(p).scaled(c * p if kind == "geometric" else c)
+        return EtaSequence(self.values * c, model)
 
 
 def _check_power(gamma: float):
@@ -493,7 +426,7 @@ def _check_unit(p: float, *, what: str):
 
 @dataclass(frozen=True)
 class Family:
-    """An analytic family: ``key`` names its parameter in params and JSON;
+    """An analytic family: ``key`` names its parameter in params;
     ``check(p)`` rejects a parameter outside the sequence's domain;
     ``tail(p)`` is the tail model, whose vectorised ``value`` gives the
     stored values; ``profile(p)`` is the target decay profile d(q) of the
@@ -539,18 +472,10 @@ def make_eta(family: str, params: dict, n_max: int) -> EtaSequence:
     * ``power``:     eta_n = n^-gamma, requires gamma > 1
     * ``stretched``: eta_n = exp(-n^theta), requires 0 < theta < 1
     * ``geometric``: eta_n = ratio^(n-1), requires 0 < ratio < 1
-    * ``custom``:    explicit ``values`` plus optional dominating ``bound``
-                     ("geometric", C, r) or ("power", C, gamma)
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     name = family.lower()
-    if name == "custom":
-        values = np.asarray(params["values"], dtype=float)[:n_max]
-        bound = params.get("bound")
-        model = DominatedTail(_bound_model(bound)) if bound else None
-        out_params = {"bound": list(bound)} if bound else {}
-        return EtaSequence(values, model, "custom", out_params)
     if name not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[name]
@@ -562,11 +487,11 @@ def make_eta(family: str, params: dict, n_max: int) -> EtaSequence:
         first = int(np.argmin(values > 0.0)) + 1
         raise ValueError(f"{name}({fam.key}={p}) underflows double precision at eta_{first}; "
                          f"use a smaller n_max than {n_max} or a slower decay")
-    return EtaSequence(values, model, name, {fam.key: p})
+    return EtaSequence(values, model)
 
 
 def decay_profile(spec: str):
-    """Parse a target decay profile "family:param" into (callable, label).
+    """Parse a target decay profile "family:param" into its callable.
 
     ``power:p`` -> q^-p, ``geometric:r`` -> r^q, ``stretched:t`` -> exp(-q^t).
     """
@@ -574,10 +499,10 @@ def decay_profile(spec: str):
     fam = FAMILIES[name]
     p = params[fam.key]
     (fam.profile_check or fam.check)(p)
-    return fam.profile(p), f"{name}:{p:g}"
+    return fam.profile(p)
 
 
-def inverse_design(d, qmax: int, n_max: int | None = None, label: str | None = None) -> EtaSequence:
+def inverse_design(d, qmax: int, n_max: int | None = None) -> EtaSequence:
     """Construct eta whose double tail realizes a target decay profile.
 
     ``d`` maps q >= 1 to a strictly decreasing, convex-difference profile
@@ -614,9 +539,7 @@ def inverse_design(d, qmax: int, n_max: int | None = None, label: str | None = N
     if np.any(eta <= 0.0):
         bad = int(np.argmax(eta <= 0.0)) + 1
         raise ValueError(f"second difference of the target is not positive at r={bad}")
-    return EtaSequence(
-        eta, TargetTail(fn, 1.0, label), "inverse", {"target": label} if label else {}
-    )
+    return EtaSequence(eta, TargetTail(fn))
 
 
 def sequence_table(eta: EtaSequence, n_max: int | None = None) -> dict:

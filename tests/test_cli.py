@@ -392,6 +392,9 @@ class TestBadInput:
         # the oracle's truncation, not the ratio arrays it reads, is named
         (["decay", "--family", "stretched:0.5", "--qmax", "10", "--nmax", "8"],
          "truncation M=10000 needs n_max >= 10000"),
+        # one path has no standard error
+        (["decay", "--family", "power:3", "--qmax", "4", "--oracle-trunc", "100",
+          "--mc-paths", "1"], "n_paths must be at least 2 for a standard error, got 1"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -33,7 +33,7 @@ class TestRenewalRecursion:
     def test_first_iterate(self, power3):
         ser = renewal_series(power3, 8)
         assert ser.iterates[0] == pytest.approx(A1_POWER3, abs=1e-12)
-        assert ser.iterates[0] == pytest.approx(power3.tail(2) / power3.W(), rel=1e-14)
+        assert ser.iterates[0] == pytest.approx(power3.tail(2) / power3.W(), rel=1e-14, abs=0)
 
     def test_first_forcing_equals_first_deficit(self, power3):
         ser = renewal_series(power3, 8)
@@ -83,7 +83,17 @@ class TestIteratesFromRun:
     def test_first_step_is_continue_probability(self, power3):
         for s in (1, 3, 9):
             b = iterates_from_run(power3, s, 4)
-            assert b[0] == pytest.approx(power3.tail(s + 1) / power3.tail(s), rel=1e-14)
+            assert b[0] == pytest.approx(power3.tail(s + 1) / power3.tail(s), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("s,qmax,cause", [
+        (1, 0, "qmax must be at least 1, got 0"),
+        (1, -3, "qmax must be at least 1, got -3"),
+        (3, 600, "s \\+ qmax = 603 needs n_max >= 602"),
+    ])
+    def test_bad_range_names_the_argument(self, s, qmax, cause):
+        eta = make_eta("power", {"gamma": 3.0}, 200)
+        with pytest.raises(ValueError, match=cause):
+            iterates_from_run(eta, s, qmax)
 
     def test_values_in_unit_interval(self, stretched_half):
         for s in (1, 2, 4, 8):
@@ -145,7 +155,7 @@ class TestScaleInvariance:
         for q in (2, 8, 64):
             r1 = power3.double_tail(q) / power3.double_tail(1)
             r2 = scaled.double_tail(q) / scaled.double_tail(1)
-            assert r1 == pytest.approx(r2, rel=1e-13)
+            assert r1 == pytest.approx(r2, rel=1e-13, abs=0)
 
 
 class TestStretchedTailReport:

@@ -88,7 +88,7 @@ class TestCorrelation:
 class TestOccupation:
     def test_single_step(self, power3_chain, power3):
         got = occupation_sweep(power3_chain, (0, 1), [1])[0]
-        assert got == pytest.approx(power3.tail(2) / power3.W(), rel=1e-13)
+        assert got == pytest.approx(power3.tail(2) / power3.W(), rel=1e-13, abs=0)
 
     def test_symmetry_between_symbols(self, power3_chain):
         a = occupation_sweep(power3_chain, (0, 3), [5])[0]
@@ -174,7 +174,7 @@ class TestCylinderConsistency:
         chain = build_chain(make_eta("geometric", {"ratio": r}, 1024), M)
         for q in (1, 3, 1024, 1025, 1500, 4999, M):
             exact = (r ** (q - 1) - r**M) / (2.0 * (1.0 - r**M))
-            assert cylinder_probability(chain, q) == pytest.approx(exact, rel=1e-12)
+            assert cylinder_probability(chain, q) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestSamplePaths:
@@ -196,6 +196,13 @@ class TestSamplePaths:
         b = sample_paths(chain, length=3, n_paths=10_000, seed=9)
         assert np.array_equal(a["estimate"], b["estimate"])
         assert np.array_equal(a["stderr"], b["stderr"])
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_path_count_below_two_rejected(self, geometric_half, n_paths):
+        # the standard error divides by n_paths - 1
+        chain = build_chain(geometric_half, 32)
+        with pytest.raises(ValueError, match=f"n_paths must be at least 2.*got {n_paths}"):
+            sample_paths(chain, length=3, n_paths=n_paths, seed=9)
 
 
 class TestStep:

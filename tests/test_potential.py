@@ -44,15 +44,15 @@ class TestSymbolicPoint:
 class TestPotentialValue:
     def test_run_value_is_log_ratio(self, geometric_half):
         assert potential_value(lead_zeros(3), geometric_half) == pytest.approx(
-            -math.log(2.0), rel=1e-15
+            -math.log(2.0), rel=1e-15, abs=0
         )
         assert potential_value(lead_ones(3), geometric_half) == pytest.approx(
-            -math.log(2.0), rel=1e-15
+            -math.log(2.0), rel=1e-15, abs=0
         )
 
     def test_unit_run_value(self, power3):
         assert potential_value(lead_zeros(1), power3) == pytest.approx(
-            -math.log(ZETA3), rel=1e-10
+            -math.log(ZETA3), rel=1e-10, abs=0
         )
         # every length-one-run pattern sees the same value
         assert potential_value(inner_ones(5), power3) == potential_value(
@@ -69,25 +69,25 @@ class TestPotentialValue:
     def test_beta_scales_run_values(self, power3):
         v1 = potential_value(lead_zeros(4), power3, beta=1.0)
         v2 = potential_value(lead_zeros(4), power3, beta=2.0)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
+        assert v2 == pytest.approx(2.0 * v1, rel=1e-14, abs=0)
 
 
 class TestEigenfunction:
     def test_geometric_is_constant_two(self, geometric_half):
         for n in (1, 2, 5, 20):
             assert eigenfunction(lead_zeros(n), geometric_half) == pytest.approx(
-                2.0, rel=1e-14
+                2.0, rel=1e-14, abs=0
             )
 
     def test_unit_run_times_eta1_is_weight(self, power3, stretched_half):
         for eta in (power3, stretched_half):
             r1 = eigenfunction(lead_zeros(1), eta)
-            assert r1 * eta.eta(1) == pytest.approx(eta.W(), rel=1e-10)
+            assert r1 * eta.eta(1) == pytest.approx(eta.W(), rel=1e-10, abs=0)
 
     def test_power3_run2(self, power3):
         # T(2)/eta_2 = (zeta(3)-1) * 8
         assert eigenfunction(lead_zeros(2), power3) == pytest.approx(
-            1.6164552252767541, rel=1e-9
+            1.6164552252767541, rel=1e-9, abs=0
         )
 
     def test_symmetry(self, power3):
@@ -121,7 +121,16 @@ class TestEigenfunction:
         eta = make_eta("geometric", {"ratio": 0.5}, 200)
         val = eigenfunction(lead_zeros(3), eta, beta=beta, lam=lam, tol=1e-12)
         x = 0.5**beta / lam
-        assert val == pytest.approx(1.0 / (1.0 - x), rel=2e-12)
+        assert val == pytest.approx(1.0 / (1.0 - x), rel=2e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [99, 100])
+    def test_unconverged_series_rejected(self, n):
+        # at lam = 1.05 the stored terms run out before the remainder of
+        # sum_j (n+j)^-3 lam^-j falls below its floor; no partial sum is returned
+        eta = make_eta("power", {"gamma": 3.0}, 100)
+        with pytest.raises(ToleranceError, match=f"n={n} .*n_max=100"):
+            eigenfunction(lead_zeros(n), eta, lam=1.05)
+        assert eigenfunction(lead_zeros(n), eta) > 1.0
 
     def test_eigenvalue_below_one_rejected(self, power3):
         with pytest.raises(ValueError):
@@ -138,7 +147,7 @@ class TestEigenfunction:
     def test_eigenfunction_times_eta_is_cylinder_mass(self, power3):
         for n in (1, 2, 5, 40):
             lhs = eigenfunction(lead_zeros(n), power3) * power3.eta(n)
-            assert lhs == pytest.approx(equilibrium_cylinder(n, power3), rel=1e-10)
+            assert lhs == pytest.approx(equilibrium_cylinder(n, power3), rel=1e-10, abs=0)
 
 
 class TestMeasures:
@@ -148,9 +157,9 @@ class TestMeasures:
 
     def test_geometric_normalized_cylinder(self, geometric_half):
         # T(2) = 1, Z = 8
-        assert equilibrium_normalization(geometric_half) == pytest.approx(8.0, rel=1e-14)
+        assert equilibrium_normalization(geometric_half) == pytest.approx(8.0, rel=1e-14, abs=0)
         assert equilibrium_cylinder(2, geometric_half, normalized=True) == pytest.approx(
-            0.125, rel=1e-14
+            0.125, rel=1e-14, abs=0
         )
 
     def test_unnormalized_unit_cylinder_is_weight(self, power3):
@@ -179,7 +188,7 @@ class TestJacobian:
     def test_switch_value(self, power3):
         q = 6
         assert jacobian(inner_zeros(q), power3) == pytest.approx(
-            power3.eta(q) / power3.tail(q), rel=1e-14
+            power3.eta(q) / power3.tail(q), rel=1e-14, abs=0
         )
 
     def test_boundary_cases(self, power3):
@@ -217,5 +226,5 @@ class TestEquilibriumData:
         # r(q) eta_q = mu_raw, and J_L(q) = T(q)/T(q-1)
         assert np.allclose(table["r"] * table["rho"], table["mu_raw"], rtol=1e-14)
         assert table["J_L"][1] == pytest.approx(
-            power3.tail(2) / power3.tail(1), rel=1e-14
+            power3.tail(2) / power3.tail(1), rel=1e-14, abs=0
         )

@@ -53,7 +53,7 @@ class TestBlockOperator:
         coeffs = hofbauer(100)
         image = renorm1_apply(coeffs, 2)
         # (Ra)_2 = a_3 + a_4 = -log 2 = a_2, and so on
-        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14)
+        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
         assert np.allclose(image.a, coeffs.a[: image.a.size], atol=1e-15)
 
     def test_zero_sequence_fixed(self):
@@ -63,7 +63,7 @@ class TestBlockOperator:
     def test_hofbauer_not_fixed_under_k3(self):
         image = renorm1_apply(hofbauer(100), 3)
         # a_3 + a_4 + a_5 = -log(5/2) != a_2
-        assert image.a[0] == pytest.approx(-math.log(2.5), rel=1e-14)
+        assert image.a[0] == pytest.approx(-math.log(2.5), rel=1e-14, abs=0)
         assert abs(image.a[0] - (-math.log(2.0))) > 0.2
 
     def test_passthrough_of_switch_values(self):
@@ -130,10 +130,10 @@ class TestBlockFixedPoint:
     def test_log3_case_by_hand(self):
         coeffs = renorm1_fixed_point(2, -math.log(3.0), 10)
         # alpha(2) = -1/2 gives a_3 = -log 2, a_4 = -log(3/2)
-        assert coeffs.a_at(3) == pytest.approx(-math.log(2.0), rel=1e-14)
-        assert coeffs.a_at(4) == pytest.approx(-math.log(1.5), rel=1e-14)
+        assert coeffs.a_at(3) == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
+        assert coeffs.a_at(4) == pytest.approx(-math.log(1.5), rel=1e-14, abs=0)
         assert coeffs.a_at(3) + coeffs.a_at(4) == pytest.approx(
-            -math.log(3.0), rel=1e-14
+            -math.log(3.0), rel=1e-14, abs=0
         )
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -161,7 +161,7 @@ class TestDigitOperator:
     def test_hofbauer_fixed_in_lebesgue_case(self):
         image = renorm2_apply(hofbauer(100), DigitSystem(3, (0, 1, 2)))
         # -log(6/5) - log(5/4) - log(4/3) = -log 2
-        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14)
+        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
         assert np.allclose(image.a, hofbauer(100).a[: image.a.size], atol=1e-14)
 
     def test_zero_fixed(self):
