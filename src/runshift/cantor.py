@@ -24,10 +24,10 @@ Either way I(n) = n^-alpha sum_p (alpha)_p / p! m_p (sup K / n)^p, summed by
 Horner over all n at once.  ``quadrature_values`` is the one evaluation;
 its bound adds the series' tail and an a-priori rounding bound to the
 midpoint rule's error.  ``prefix_points`` enumerates the cylinder base
-points directly, the independent reference for the series, and an
-independent Monte Carlo integrator cross-checks both from random digit
-strings.  One check, ``_check_kernel``, rejects n outside the kernel's
-domain.
+points directly, the independent reference for the series, and a Monte
+Carlo integrator cross-checks both from random digit strings, drawn one
+integer per block of g digits that indexes ``prefix_points(g)``.  One
+check, ``_check_kernel``, rejects n outside the kernel's domain.
 """
 
 from __future__ import annotations
@@ -258,6 +258,15 @@ def quadrature_values(
 
 
 _MC_CHUNK = 1 << 17
+_MC_BLOCK = 1 << 16
+
+
+def _mc_blocks(cm: CantorMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix_points(g), k^(-g b) for b < B), g >= 1 the largest with l^g <= _MC_BLOCK
+    and B blocks of g digits covering the ceil(40 / log2 k) digits of 2^-40."""
+    g = next(g for g in range(1, 17) if cm.ds.l ** (g + 1) > _MC_BLOCK)  # l >= 2: g <= 16
+    blocks = math.ceil(math.ceil(40.0 / math.log2(cm.ds.k)) / g)
+    return cm.prefix_points(g), cm.ds.k ** (-g * np.arange(blocks, dtype=float))
 
 
 def monte_carlo_integral(
@@ -265,24 +274,24 @@ def monte_carlo_integral(
 ) -> tuple[float, float]:
     """Independent Monte Carlo estimate of I(n) from random digit strings.
 
-    Draws i.i.d. points of K with uniformly random digits to resolution
-    ~2^-40 and returns (estimate, standard error).  Deterministic for a
-    fixed seed: the chunked draw order is fixed.  Each chunk's count, mean
-    and sum of squared deviations are merged into the running ones (Chan,
-    Golub and LeVeque 1979), so only one chunk of values is held at a time.
+    Draws i.i.d. points of K with uniformly random digits to resolution at
+    least 2^-40, B uniform blocks of g digits each: one integer per block
+    indexes the l^g base points of ``prefix_points(g)``, scaled by k^(-g b)
+    for block b.  Returns (estimate, standard error), the same for a fixed
+    seed.  Each chunk's count, mean and sum of squared deviations are merged
+    into the running ones (Chan, Golub and LeVeque 1979), so only one chunk
+    of values is held at a time.
     """
     if samples < 1000:
-        raise ValueError("use at least 1000 samples")
+        raise ValueError(f"need at least 1000 samples, got {samples}")
     _check_kernel(cm, n)
-    length = math.ceil(40.0 / math.log2(cm.ds.k))
-    digits = np.asarray(cm.ds.digits, dtype=float)
-    weights = cm.ds.k ** -np.arange(1.0, length + 1.0)
+    table, weights = _mc_blocks(cm)
     rng = np.random.default_rng(seed)
     count, mean, m2 = 0, 0.0, 0.0
     while count < samples:
         chunk = min(samples - count, _MC_CHUNK)
-        idx = rng.integers(0, cm.ds.l, size=(chunk, length))
-        f = np.exp(-cm.alpha * np.log(n - digits[idx] @ weights))
+        idx = rng.integers(0, table.size, size=(chunk, weights.size))
+        f = np.exp(-cm.alpha * np.log(n - table[idx] @ weights))
         f_mean = float(np.mean(f))
         delta = f_mean - mean
         total = count + chunk

@@ -13,7 +13,7 @@ from runshift import (
     quadrature_values,
     self_similarity_check,
 )
-from runshift.cantor import U, error_bound
+from runshift.cantor import U, _mc_blocks, error_bound
 
 LOG2_LOG3 = 0.6309297535714574
 
@@ -241,14 +241,52 @@ class TestMonteCarlo:
         samples, seed, chunk = 300_000, 11, 1 << 17
         est, se = monte_carlo_integral(middle_thirds, 3, samples, seed)
         rng = np.random.default_rng(seed)
-        length = math.ceil(40.0 / math.log2(3))
-        weights = 3.0 ** -np.arange(1.0, length + 1.0)
+        # l = 2: one integer indexes the 2^16 depth-16 base points, and two
+        # blocks give 32 >= ceil(40 / log2 3) = 26 digits
+        table = middle_thirds.prefix_points(16)
+        weights = 3.0 ** -np.array([0.0, 16.0])
         t = np.concatenate([
-            np.array([0.0, 2.0])[rng.integers(0, 2, size=(min(chunk, samples - s), length))]
-            @ weights for s in range(0, samples, chunk)])
+            table[rng.integers(0, 1 << 16, size=(min(chunk, samples - s), 2))] @ weights
+            for s in range(0, samples, chunk)])
         f = (3.0 - t) ** -middle_thirds.alpha
         assert est == pytest.approx(f.mean(), rel=1e-14, abs=0)
         assert se == pytest.approx(f.std(ddof=1) / math.sqrt(samples), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (4, (0, 1, 3))])
+    def test_block_points_are_digit_strings(self, k, digits):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        table, weights = _mc_blocks(cm)
+        l, blocks = len(digits), weights.size
+        g = round(math.log(table.size, l))
+        assert l**g == table.size <= 1 << 16 < l ** (g + 1)
+        assert g * blocks >= math.ceil(40.0 / math.log2(k))
+        string_weights = float(k) ** -np.arange(1.0, g * blocks + 1.0)
+        for idx in np.random.default_rng(k).integers(0, table.size, size=(200, blocks)):
+            string = []
+            for b in idx.tolist():  # b's base-l digits, most significant first
+                block = []
+                for _ in range(g):
+                    b, r = divmod(b, l)
+                    block.append(digits[r])
+                string += block[::-1]
+            exact = np.array(string, dtype=float) @ string_weights
+            # both sides sum positive terms, each through at most g B + 3
+            # roundings (weights, products, additions), so each is within
+            # gamma_(g B + 3) of the exact string
+            assert abs(table[idx] @ weights - exact) <= 2 * (g * blocks + 3) * U * exact
+
+    @pytest.mark.parametrize("k,digits,n,expected", [
+        (3, (1, 3), 2, None),  # sup K = 1.5, the kernel nearest its singularity
+        (5, (0, 2, 4), 3, None),
+        (4, (0, 1, 3), 5, None),
+        (2, (0, 1), 2, math.log(2.0)),  # K = [0, 1] and alpha = 1
+    ])
+    def test_agrees_with_exact_series(self, k, digits, n, expected):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        if expected is None:
+            expected = float(quadrature_values(cm, [n])[0][0])
+        est, se = monte_carlo_integral(cm, n, 1_000_000, seed=2026)
+        assert abs(est - expected) <= 4.0 * se
 
     def test_seed_reproducibility(self, middle_thirds):
         a = monte_carlo_integral(middle_thirds, 5, 50_000, seed=42)
@@ -256,7 +294,7 @@ class TestMonteCarlo:
         assert a == b
 
     def test_sample_floor(self, middle_thirds):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 1000 samples, got 10$"):
             monte_carlo_integral(middle_thirds, 2, 10, seed=1)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature_values
-from runshift.cli import _CHUNK, _write_table, main
+from runshift.cli import _CHUNK, _write_table, entry, main
 
 
 def read_csv(path):
@@ -318,6 +318,15 @@ class TestPlumbing:
             assert proc.returncode == 0, module
             assert proc.stdout.startswith("usage: runshift"), module
 
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["decay", "--family", "cubic:3"], 2)])
+    def test_console_script_exits_with_main_code(self, monkeypatch, tmp_path, argv, code):
+        # the [project.scripts] target, runshift = runshift.cli:entry
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["runshift", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code == main(argv)
+
     def test_header_records_version_and_params(self, tmp_path):
         out = tmp_path / "eta.csv"
         main(["eta", "--family", "power:3", "--nmax", "16", "--out", str(out)])
@@ -395,6 +404,9 @@ class TestBadInput:
         # one path has no standard error
         (["decay", "--family", "power:3", "--qmax", "4", "--oracle-trunc", "100",
           "--mc-paths", "1"], "n_paths must be at least 2 for a standard error, got 1"),
+        # the library's sample floor, with the count given
+        (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "500"],
+         "need at least 1000 samples, got 500"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
