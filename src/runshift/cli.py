@@ -293,7 +293,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--digits", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
-    p.add_argument("--mc", type=_positive,
+    p.add_argument("--mc", type=int,
                    help="add a Monte Carlo cross-check with this many samples")
     p.add_argument("--seed", type=int, default=0)
 

@@ -105,13 +105,28 @@ def iterates_from_run(
     return np.convolve(ratios, comp)[:qmax] + tails
 
 
+_BLOCK = 32  # lags solved per numpy call in _lagged_solve
+
+
 def _lagged_solve(p: np.ndarray, f: np.ndarray) -> np.ndarray:
     """x_i = f_i - sum_{k=1}^{min(i, len p)} p[k-1] x_{i-k} by direct summation, accurate
-    relative to each x_i's own terms (an FFT errs by u max|x| and loses tiny late x_i)."""
-    x = np.empty(f.size)
-    for i in range(f.size):
-        n = min(i, p.size)
-        x[i] = f[i] - float(np.dot(p[:n], x[i - n : i][::-1]))
+    relative to each x_i's own terms (an FFT errs by u max|x| and loses tiny late x_i).
+
+    Lags go _BLOCK at a time.  With c = (1, p, 0, ...), block [s, s+b) takes its far history
+    x[:s] off f[s:s+b] by one correlation with c[1:], then solves the unit lower-triangular
+    Toeplitz system of c.  Needs 0 <= p <= 1: each unit diagonal is then its column's first
+    maximum, so partial pivoting swaps no rows and the LU solve is forward substitution, the
+    per-lag sum grouped as far plus near.  n min(n, len p) flops in ~n / _BLOCK numpy calls."""
+    n, m = f.size, p.size
+    c = np.concatenate(([1.0], p, np.zeros(_BLOCK)))
+    lower = np.tril(c[np.abs(np.arange(_BLOCK)[:, None] - np.arange(_BLOCK))])
+    x = np.empty(n)
+    for s in range(0, n, _BLOCK):
+        b, lo = min(_BLOCK, n - s), max(0, s - m)
+        rhs = f[s : s + b]
+        if lo < s:
+            rhs = rhs - np.correlate(c[1 : b + s - lo], x[lo:s][::-1], "valid")
+        x[s : s + b] = np.linalg.solve(lower[:b, :b], rhs)
     return x
 
 

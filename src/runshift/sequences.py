@@ -30,7 +30,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "EtaSequence",
@@ -60,6 +59,7 @@ class ToleranceError(RuntimeError):
 
 def _upper_gamma(a: float, x: float) -> float:
     """Unnormalized upper incomplete gamma integral from x to infinity."""
+    from scipy import special  # here, its only use: importing runshift leaves scipy unloaded
     return float(special.gammaincc(a, x) * special.gamma(a))
 
 

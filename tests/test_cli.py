@@ -318,6 +318,17 @@ class TestPlumbing:
             assert proc.returncode == 0, module
             assert proc.stdout.startswith("usage: runshift"), module
 
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is loaded by the stretched tail model only, not at import
+        src = os.path.dirname(os.path.dirname(runshift.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, runshift, runshift.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["decay", "--family", "cubic:3"], 2)])
     def test_console_script_exits_with_main_code(self, monkeypatch, tmp_path, argv, code):
         # the [project.scripts] target, runshift = runshift.cli:entry
@@ -391,9 +402,10 @@ class TestBadInput:
          "depth must be a nonnegative integer, got -1"),
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,,2", "--depth", "5"],
          "--digits '0,,2'"),
-        # an optional count set to 0 is named, not taken as absent
+        # an optional count set to 0 is named, not taken as absent; --mc has
+        # the library's sample floor as its only rule
         (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "0"],
-         "argument --mc: must be at least 1, got 0"),
+         "need at least 1000 samples, got 0"),
         (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100",
           "--mc-paths", "0"], "argument --mc-paths: must be at least 1, got 0"),
         (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100", "--nmax", "0"],
