@@ -16,11 +16,11 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
 
 import numpy as np
 
 from . import __version__
+from ._floattext import float_text
 from .cantor import CantorMeasure, DigitSystem, monte_carlo_integral, quadrature
 from .decay import decay_table
 from .oracle import build_chain, correlation, sample_paths
@@ -45,40 +45,80 @@ __all__ = ["main", "entry"]
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CHUNK = 4096  # rows (CSV) or cells (JSON) joined per write: bounded memory, fewer calls
+_JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
+# The writer formats and writes about _CHUNK cells at a time (whole rows in CSV), so its
+# memory does not grow with the table.  The float cells of a chunk, all its columns in
+# CSV and one column in JSON, come from one call of the vectorized repr of _floattext
+# when there are at least _KERNEL_CELLS of them, else from float.__repr__ cell by cell:
+# the kernel's fixed cost per call, some 150 numpy operations, loses on fewer cells.
+_CHUNK = 4096
+_KERNEL_CELLS = 512
+
+
+def _text(parts: list) -> str:
+    """The ``uint8`` text matrices side by side, row after row, without NUL padding."""
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
+
+
+def _csv_rows(chunk: list, floats: list) -> str:
+    """CSV lines of a chunk of rows: ``repr`` of float cells, ``str`` of the rest."""
+    x = np.array([c for c, f in zip(chunk, floats) if f], dtype=float)
+    if x.size < _KERNEL_CELLS:
+        text = iter([map(float.__repr__, c) for c in x])
+        cells = [next(text) if f else map(str, c.tolist()) for c, f in zip(chunk, floats)]
+        return "".join(",".join(row) + "\n" for row in zip(*cells))
+    text = iter(float_text(x))
+    comma = np.full((len(chunk[0]), 1), ord(","), np.uint8)
+    parts = []
+    for c, f in zip(chunk, floats):
+        cell = next(text) if f else c.astype(bytes)  # numpy's str of each cell
+        parts += [cell.view(np.uint8).reshape(len(c), -1), comma]
+    parts[-1] = np.full_like(comma, ord("\n"))
+    return _text(parts)
+
+
+def _json_cells(x: np.ndarray, first: bool) -> str:
+    """A chunk of a JSON column's cells, each on its own line after a comma,
+    except the first cell of the column."""
+    if x.size < _KERNEL_CELLS:
+        text = map(float.__repr__, x)
+        if not np.isfinite(x).all():
+            text = (_JSON_NONFINITE.get(t, t) for t in text)
+        return ("\n   " if first else ",\n   ") + ",\n   ".join(text)
+    sep = np.empty((len(x), _JSON_SEP.size), np.uint8)
+    sep[:] = _JSON_SEP
+    sep[0, 0] *= not first  # NUL: no comma before a column's first cell
+    return _text([sep, float_text(x, json=True)])
 
 
 def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) -> int:
     """Stream the table to its file and report it.  CSV cells are ``repr`` of floats
     and ``str`` of the rest; JSON is ``json.dumps(doc, indent=1)`` with float cells.
-    Each column is converted once: ``float.__repr__`` maps over a float64 array."""
+    Each chunk of about ``_CHUNK`` cells is formatted and written at once, its float
+    cells by one kernel call when there are at least ``_KERNEL_CELLS`` of them."""
     path = args.out or os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
     as_json = args.out_format == "json"
-    cells = []
-    for col in map(np.asarray, columns.values()):
-        if not as_json and col.dtype.kind != "f":
-            cells.append(map(str, col.tolist()))
-            continue
-        text = map(float.__repr__, col.astype(float, copy=False))
-        finite = not as_json or np.isfinite(col).all()
-        cells.append(text if finite else (_JSON_NONFINITE.get(t, t) for t in text))
+    cols = [np.asarray(col) for col in columns.values()]
     with open(path, "w", newline="\n") as fh:
         if as_json:
             head = {"meta": {"version": __version__, **meta}, "columns": list(columns)}
             fh.write(json.dumps(head, indent=1).removesuffix("\n}") + ',\n "data": {')
-            for i, (name, col) in enumerate(zip(columns, cells)):
+            for i, (name, col) in enumerate(zip(columns, cols)):
                 # indent=1 layout: "[]" when empty, else one cell a line, comma-separated
-                chunks = iter(lambda: ",\n   ".join(islice(col, _CHUNK)), "")
                 fh.write(f"{',' if i else ''}\n  {json.dumps(name)}: [")
-                fh.writelines(map(str.__add__, chain(["\n   "], repeat(",\n   ")), chunks))
-                fh.write("\n  ]" if len(columns[name]) else "]")
+                for at in range(0, len(col), _CHUNK):
+                    fh.write(_json_cells(col[at : at + _CHUNK].astype(float), at == 0))
+                fh.write("\n  ]" if len(col) else "]")
             fh.write("\n }\n}\n" if columns else "}\n}\n")
         else:
             fh.write(f"# runshift {__version__}\n")
             fh.writelines(f"# {k}={v}\n" for k, v in meta.items())
             fh.write(",".join(columns) + "\n")
-            rows = (",".join(row) + "\n" for row in zip(*cells))
-            fh.writelines(iter(lambda: "".join(islice(rows, _CHUNK)), ""))
+            rows = min(map(len, cols), default=0)
+            step = max(1, _CHUNK // max(1, len(cols)))
+            floats = [col.dtype.kind == "f" for col in cols]
+            for at in range(0, rows, step):
+                fh.write(_csv_rows([col[at : min(at + step, rows)] for col in cols], floats))
     print(f"wrote {path} ({note})")
     return 0
 

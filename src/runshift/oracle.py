@@ -131,7 +131,7 @@ def occupation_sweep(chain: RenewalChain, start: tuple[int, int], qs) -> np.ndar
 
 def _difference_sums(chain: RenewalChain, flux: np.ndarray, alive: np.ndarray, qs) -> np.ndarray:
     """sum_m d_q[m] at each lag of qs from F = flux and R = alive (zero past their ends)."""
-    qs = np.asarray(list(np.atleast_1d(qs)), dtype=int)
+    qs = np.atleast_1d(np.asarray(qs, dtype=int))
     if np.any(qs < 0):
         raise ValueError("lags must be nonnegative")
     n = max(int(qs.max(initial=0)), 1)

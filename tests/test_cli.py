@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature_values
-from runshift.cli import _CHUNK, _write_table, entry, main
+from runshift.cli import _CHUNK, _KERNEL_CELLS, _write_table, entry, main
 
 
 def read_csv(path):
@@ -368,6 +369,17 @@ def _special_table(rows):
             "inf_only": np.r_[np.inf, np.ones(rows - 1)]}
 
 
+def _zeros_table(rows):
+    """Mostly 0.0, with runs of -0.0 and nan, next to a long integer column."""
+    z = np.zeros(rows)
+    z[rows // 5 : rows // 4] = -0.0
+    z[rows // 2 : rows // 2 + 9] = np.nan
+    z[-3:] = [1.5, -np.inf, 2.0**-1074]
+    ints = np.arange(rows) * 7919 - rows
+    ints[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    return {"i": ints, "residual": z}
+
+
 class TestTableWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("meta,columns", [
@@ -377,13 +389,40 @@ class TestTableWriter:
         ({"command": "integrate", "depth": "exact"},  # the one-row shape integrate writes
          {"n": [2], "I": [0.7978997095886927], "bound": [np.float64(1.9e-15)], "mc": [float("nan")]}),
         ({"command": "apply"}, {"n": np.arange(2, 2), "a": np.array([])}),
-    ], ids=["special", "whole-chunks", "one-row", "empty"])
+        # float cells come from repr below _KERNEL_CELLS a chunk, else from the kernel:
+        # three float columns a CSV chunk, one a JSON chunk
+        ({"command": "eta"}, _special_table((_KERNEL_CELLS + 2) // 3 - 1)),
+        ({"command": "eta"}, _special_table((_KERNEL_CELLS + 2) // 3)),
+        ({"command": "eta"}, _special_table(_KERNEL_CELLS - 1)),
+        ({"command": "eta"}, _special_table(_KERNEL_CELLS)),
+        ({"command": "fixed-point"}, _zeros_table(_KERNEL_CELLS + 1)),
+        ({"command": "fixed-point"}, _zeros_table(3 * _CHUNK)),
+    ], ids=["special", "whole-chunks", "one-row", "empty", "csv-below-kernel", "csv-kernel",
+            "json-below-kernel", "json-kernel", "zeros", "zeros-chunks"])
     def test_bytes_match_reference(self, tmp_path, capsys, fmt, meta, columns):
         out = tmp_path / f"t.{fmt}"
         args = argparse.Namespace(out=str(out), out_format=fmt)
         assert _write_table(args, "unused", meta, columns, "note") == 0
         assert out.read_bytes() == reference_table(fmt, meta, columns).encode()
         assert capsys.readouterr().out == f"wrote {out} (note)\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_rows(self, tmp_path, capsys, fmt):
+        # the README's promise: the writer holds a chunk of text, never the table's
+        def peak(rows):
+            rng = np.random.default_rng(rows)
+            columns = {name: rng.standard_normal(rows) for name in "abcd"}  # not traced
+            args = argparse.Namespace(out=str(tmp_path / f"t.{fmt}"), out_format=fmt)
+            tracemalloc.start()
+            try:
+                _write_table(args, "unused", {}, columns, "note")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_CHUNK)  # lookup tables built on first use
+        small, large = peak(20_000), peak(200_000)
+        assert large - small < 32_000, (small, large)
 
 
 class TestBadInput:

@@ -57,6 +57,12 @@ class TestCorrelation:
         c = correlation(chain, np.arange(1, 65))
         assert np.max(np.abs(c)) < 1e-12
 
+    def test_lags_as_range_list_array_or_scalar(self, power3_chain):
+        want = correlation(power3_chain, np.arange(1, 9))
+        assert np.array_equal(correlation(power3_chain, range(1, 9)), want)
+        assert np.array_equal(correlation(power3_chain, list(range(1, 9))), want)
+        assert correlation(power3_chain, 8) == pytest.approx(want[-1], rel=1e-14)
+
     def test_bounded_by_quarter(self, power3_chain):
         c = correlation(power3_chain, [1, 2, 5, 50])
         assert np.all(np.abs(c) <= 0.25)
