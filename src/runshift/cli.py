@@ -44,15 +44,11 @@ from .sequences import (
 __all__ = ["main", "entry"]
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # The writer formats and writes about _CHUNK cells at a time (whole rows in CSV), so its
 # memory does not grow with the table.  The float cells of a chunk, all its columns in
-# CSV and one column in JSON, come from one call of the vectorized repr of _floattext
-# when there are at least _KERNEL_CELLS of them, else from float.__repr__ cell by cell:
-# the kernel's fixed cost per call, some 150 numpy operations, loses on fewer cells.
+# CSV and one column in JSON, come from one call of the vectorized repr of _floattext.
 _CHUNK = 4096
-_KERNEL_CELLS = 512
 
 
 def _text(parts: list) -> str:
@@ -62,12 +58,7 @@ def _text(parts: list) -> str:
 
 def _csv_rows(chunk: list, floats: list) -> str:
     """CSV lines of a chunk of rows: ``repr`` of float cells, ``str`` of the rest."""
-    x = np.array([c for c, f in zip(chunk, floats) if f], dtype=float)
-    if x.size < _KERNEL_CELLS:
-        text = iter([map(float.__repr__, c) for c in x])
-        cells = [next(text) if f else map(str, c.tolist()) for c, f in zip(chunk, floats)]
-        return "".join(",".join(row) + "\n" for row in zip(*cells))
-    text = iter(float_text(x))
+    text = iter(float_text(np.array([c for c, f in zip(chunk, floats) if f], dtype=float)))
     comma = np.full((len(chunk[0]), 1), ord(","), np.uint8)
     parts = []
     for c, f in zip(chunk, floats):
@@ -80,11 +71,6 @@ def _csv_rows(chunk: list, floats: list) -> str:
 def _json_cells(x: np.ndarray, first: bool) -> str:
     """A chunk of a JSON column's cells, each on its own line after a comma,
     except the first cell of the column."""
-    if x.size < _KERNEL_CELLS:
-        text = map(float.__repr__, x)
-        if not np.isfinite(x).all():
-            text = (_JSON_NONFINITE.get(t, t) for t in text)
-        return ("\n   " if first else ",\n   ") + ",\n   ".join(text)
     sep = np.empty((len(x), _JSON_SEP.size), np.uint8)
     sep[:] = _JSON_SEP
     sep[0, 0] *= not first  # NUL: no comma before a column's first cell
@@ -95,7 +81,7 @@ def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) 
     """Stream the table to its file and report it.  CSV cells are ``repr`` of floats
     and ``str`` of the rest; JSON is ``json.dumps(doc, indent=1)`` with float cells.
     Each chunk of about ``_CHUNK`` cells is formatted and written at once, its float
-    cells by one kernel call when there are at least ``_KERNEL_CELLS`` of them."""
+    cells by one call of the vectorized ``repr``."""
     path = args.out or os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
     as_json = args.out_format == "json"
     cols = [np.asarray(col) for col in columns.values()]

@@ -11,7 +11,7 @@ import pytest
 
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature_values
-from runshift.cli import _CHUNK, _KERNEL_CELLS, _write_table, entry, main
+from runshift.cli import _CHUNK, _write_table, entry, main
 
 
 def read_csv(path):
@@ -389,16 +389,15 @@ class TestTableWriter:
         ({"command": "integrate", "depth": "exact"},  # the one-row shape integrate writes
          {"n": [2], "I": [0.7978997095886927], "bound": [np.float64(1.9e-15)], "mc": [float("nan")]}),
         ({"command": "apply"}, {"n": np.arange(2, 2), "a": np.array([])}),
-        # float cells come from repr below _KERNEL_CELLS a chunk, else from the kernel:
-        # three float columns a CSV chunk, one a JSON chunk
-        ({"command": "eta"}, _special_table((_KERNEL_CELLS + 2) // 3 - 1)),
-        ({"command": "eta"}, _special_table((_KERNEL_CELLS + 2) // 3)),
-        ({"command": "eta"}, _special_table(_KERNEL_CELLS - 1)),
-        ({"command": "eta"}, _special_table(_KERNEL_CELLS)),
-        ({"command": "fixed-point"}, _zeros_table(_KERNEL_CELLS + 1)),
+        # tables of a few hundred rows, one partly filled chunk of each column
+        ({"command": "eta"}, _special_table(170)),
+        ({"command": "eta"}, _special_table(171)),
+        ({"command": "eta"}, _special_table(511)),
+        ({"command": "eta"}, _special_table(512)),
+        ({"command": "fixed-point"}, _zeros_table(513)),
         ({"command": "fixed-point"}, _zeros_table(3 * _CHUNK)),
-    ], ids=["special", "whole-chunks", "one-row", "empty", "csv-below-kernel", "csv-kernel",
-            "json-below-kernel", "json-kernel", "zeros", "zeros-chunks"])
+    ], ids=["special", "whole-chunks", "one-row", "empty", "rows-170", "rows-171",
+            "rows-511", "rows-512", "zeros", "zeros-chunks"])
     def test_bytes_match_reference(self, tmp_path, capsys, fmt, meta, columns):
         out = tmp_path / f"t.{fmt}"
         args = argparse.Namespace(out=str(out), out_format=fmt)
