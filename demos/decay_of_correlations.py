@@ -12,7 +12,6 @@ import numpy as np
 from runshift import (
     build_chain,
     correlation,
-    correlation_asymptotic,
     iterates_from_run,
     make_eta,
     occupation_sweep,
@@ -48,7 +47,7 @@ def main():
     lags = np.array([128, 256, 512, 1024])
     big_chain = build_chain(eta, 20_000)
     c = correlation(big_chain, lags)
-    d = correlation_asymptotic(eta, lags)
+    d = eta.double_tail_grid()[lags]
     for q, cq, dq in zip(lags, c, d):
         print(f"  q = {q:>4}: C(q) = {cq:+.3e}   D(q) = {dq:.3e}   C/D = {cq / dq:+.3f}")
 

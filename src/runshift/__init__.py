@@ -31,7 +31,6 @@ from .cantor import (
 )
 from .decay import (
     RenewalSeries,
-    correlation_asymptotic,
     decay_table,
     iterates_from_run,
     renewal_series,

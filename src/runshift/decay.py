@@ -40,7 +40,6 @@ __all__ = [
     "RenewalSeries",
     "renewal_series",
     "iterates_from_run",
-    "correlation_asymptotic",
     "decay_table",
 ]
 
@@ -128,27 +127,6 @@ def _lagged_solve(p: np.ndarray, f: np.ndarray) -> np.ndarray:
             rhs = rhs - np.correlate(c[1 : b + s - lo], x[lo:s][::-1], "valid")
         x[s : s + b] = np.linalg.solve(lower[:b, :b], rhs)
     return x
-
-
-def correlation_asymptotic(eta: EtaSequence, q, tol: float | None = None):
-    """Predicted order D(q) of the correlation at lag q (or at each lag of
-    an array).  The sign of the true correlation is a matter for the
-    oracle; this is the magnitude scale only, and it is not sharp for
-    geometric weights where the correlation vanishes exactly.
-
-    An array's lags up to n_max are read from the double-tail grid; the
-    smallest of them carries the largest certified error, so one tol
-    check there covers them all."""
-    if np.isscalar(q):
-        return eta.double_tail(int(q), tol)
-    q = np.asarray(q, dtype=int)
-    near = q <= eta.n_max
-    out = np.empty(q.shape)
-    if near.any():
-        eta.double_tail(int(q[near].min()), tol)  # rejects q < 0 and an unmet tol
-        out[near] = eta.double_tail_grid()[q[near]]
-    out[~near] = [eta.double_tail(int(v), tol) for v in q[~near]]
-    return out
 
 
 def decay_table(

@@ -62,7 +62,6 @@ class RenewalChain:
     stationary[s, m-1] = T(m) / (2 sum_{j<=M} T(j)).
     """
 
-    eta: EtaSequence
     M: int
     continue_probs: np.ndarray
     switch_probs: np.ndarray
@@ -70,26 +69,23 @@ class RenewalChain:
     eps_trunc: float
 
 
-def build_chain(eta: EtaSequence, M: int, eps_trunc: float | None = None) -> RenewalChain:
-    """Build the truncated chain, rejecting M too small for eps_trunc."""
+def build_chain(eta: EtaSequence, M: int) -> RenewalChain:
+    """Build the chain truncated at run length M; its eps_trunc = D(M)/D(0)
+    is the relative tail mass the truncation drops."""
     if M < 2:
         raise ValueError("truncation level M must be at least 2")
     if M > eta.n_max and not isinstance(eta.tail_model, GeometricTail):
         raise ToleranceError(f"truncation M={M} needs n_max >= {M}")
-    cont, sw = eta.ratio_arrays(M)  # fresh arrays, not views of the tail grid
+    cont, sw = eta.ratios(1, M)  # fresh arrays, not views of the tail grid
     cont[M - 1] = 0.0
     sw[M - 1] = 1.0
     eps = eta.double_tail(M) / eta.first_moment()
-    if eps_trunc is not None and eps > eps_trunc:
-        raise ValueError(
-            f"truncation at M={M} leaves relative tail mass {eps:.3g} > {eps_trunc:.3g}"
-        )
     if M <= eta.n_max:
         t = eta.tail_grid()[:M]
     else:  # geometric: T(m) = T(1) ratio^(m-1), exact at any m
         t = eta.tail(1) * eta.tail_model.ratio ** np.arange(M)
     row = t / (2.0 * t.sum())
-    return RenewalChain(eta, M, cont, sw, np.vstack([row, row]), eps)
+    return RenewalChain(M, cont, sw, np.vstack([row, row]), eps)
 
 
 def step(chain: RenewalChain, u: np.ndarray) -> np.ndarray:

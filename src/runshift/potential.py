@@ -149,7 +149,7 @@ def eigenfunction(
         return 1.0
     scale = eta.eta(n) ** beta
     if lam == 1.0:
-        series = eta.powered_tail(n + 1, beta)
+        series = eta.tail(n + 1, beta=beta)
         err = eta.tail_error(beta)
     else:
         series = 0.0
@@ -233,9 +233,9 @@ def jacobian(point: SymbolicPoint, eta: EtaSequence) -> float:
                 "Jacobian on a length-one leading run depends on the next run; "
                 "use inner_ones(q) or inner_zeros(q)"
             )
-        return eta.continue_ratio(point.q - 1)
+        return float(eta.ratios(point.q - 1, point.q - 1)[0][0])
     if pat in (Pattern.INNER_ONES, Pattern.INNER_ZEROS):
-        return eta.switch_ratio(point.q)
+        return float(eta.ratios(point.q, point.q)[1][0])
     if pat in (Pattern.ALL_ZEROS, Pattern.ALL_ONES):
         return 1.0
     return 0.0  # 0 1^inf and 1 0^inf
@@ -252,17 +252,21 @@ class NormalizationReport:
     ok: bool
 
 
-def check_normalization(eta: EtaSequence, states=range(1, 65), tol: float = 1e-14) -> NormalizationReport:
-    """Verify sum over preimages of J = 1 at each sampled run state.
+def check_normalization(eta: EtaSequence, states=range(1, 65)) -> NormalizationReport:
+    """Verify sum over preimages of J = 1, to within 1e-14, at each sampled run state.
 
     At state m the two preimages carry T(m+1)/T(m) and eta_m/T(m), whose
     sum is 1 exactly by T(m) = eta_m + T(m+1).
     """
     states = np.asarray(list(states), dtype=int)
-    cont, sw = eta.ratio_arrays(int(states.max()))
+    if states.size == 0:
+        raise ValueError("no run states to check")
+    if states.min() < 1:
+        raise ValueError(f"run state {states[states < 1][0]} does not exist; states are m >= 1")
+    cont, sw = eta.ratios(1, int(states.max()))
     dev = np.abs(cont[states - 1] + sw[states - 1] - 1.0)
     worst = int(np.argmax(dev))
-    bad = np.nonzero(dev > tol)[0]
+    bad = np.nonzero(dev > 1e-14)[0]
     return NormalizationReport(
         n_checked=states.size,
         max_deviation=float(dev[worst]),

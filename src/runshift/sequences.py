@@ -326,32 +326,24 @@ class EtaSequence:
             raise ToleranceError(f"eta_{n} is beyond the stored cutoff {self.n_max}")
         return float(self.tail_model.value(n))
 
-    def tail(self, m: int, tol: float | None = None) -> float:
-        """T(m) = sum_{n>=m} eta_n with certified error <= tol when given."""
+    def tail(self, m: int, tol: float | None = None, beta: float = 1.0) -> float:
+        """sum_{n>=m} eta_n^beta, T(m) at beta = 1, with certified error <= tol
+        when given; past n_max + 1 the tail model answers."""
         if m < 1:
             raise ValueError("indices start at 1")
         if m <= self.n_max + 1:
-            val, err = float(self.tail_grid()[m - 1]), self.tail_error()
+            grid, err = self._tail_grid(beta)
+            val = float(grid[m - 1])
         elif self.tail_model is None:
             val, err = 0.0, math.inf
         else:
-            val, err = _bracket(*self.tail_model.sum_tail(m))
-        _check_tol(err, tol, f"T({m})")
+            val, err = _bracket(*self.tail_model.powered(beta).sum_tail(m))
+        _check_tol(err, tol, f"T({m})" if beta == 1.0 else f"sum eta^{beta} from {m}")
         return val
 
     def W(self, beta: float = 1.0, tol: float | None = None) -> float:
         """W(beta) = sum_n eta_n^beta."""
-        return self.powered_tail(1, beta, tol)
-
-    def powered_tail(self, m: int, beta: float, tol: float | None = None) -> float:
-        """sum_{n>=m} eta_n^beta with certified error, for m <= n_max + 1."""
-        if beta == 1.0:
-            return self.tail(m, tol)
-        grid, err = self._tail_grid(beta)
-        if not 1 <= m <= self.n_max + 1:
-            raise ValueError(f"powered tails available for m <= {self.n_max + 1}")
-        _check_tol(err, tol, f"sum eta^{beta} from {m}")
-        return float(grid[m - 1])
+        return self.tail(1, tol, beta)
 
     def double_tail(self, q: int, tol: float | None = None) -> float:
         """D(q) = sum_{m>q} (m-q) eta_m = sum_{s>=1} sum_{k>=0} eta_{k+q+s}."""
@@ -376,9 +368,11 @@ class EtaSequence:
 
     # -- run-transition ratios -------------------------------------------
 
-    def _ratios(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(T(m+1)/T(m), eta_m/T(m)) for m = lo..hi, read from the tail grid
-        (closed form at any m for the geometric family)."""
+    def ratios(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(T(m+1)/T(m), eta_m/T(m)) for m = lo..hi as fresh arrays, read from
+        the tail grid (closed form at any m for the geometric family)."""
+        if not 1 <= lo <= hi:
+            raise ValueError(f"ratios need 1 <= lo <= hi, got lo={lo}, hi={hi}")
         if isinstance(self.tail_model, GeometricTail):
             r = self.tail_model.ratio
             return np.full(hi - lo + 1, r), np.full(hi - lo + 1, 1.0 - r)
@@ -386,18 +380,6 @@ class EtaSequence:
             raise ToleranceError(f"ratios up to m={hi} need n_max >= {hi} (or a geometric family)")
         t = self.tail_grid()[lo - 1 : hi + 1]
         return t[1:] / t[:-1], self.values[lo - 1 : hi] / t[:-1]
-
-    def continue_ratio(self, m: int) -> float:
-        """T(m+1)/T(m); closed form at any m for the geometric family."""
-        return float(self._ratios(m, m)[0][0])
-
-    def switch_ratio(self, m: int) -> float:
-        """eta_m/T(m); closed form at any m for the geometric family."""
-        return float(self._ratios(m, m)[1][0])
-
-    def ratio_arrays(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """(T(m+1)/T(m), eta_m/T(m)) for m = 1..m_max as arrays."""
-        return self._ratios(1, m_max)
 
     # -- rescaling ---------------------------------------------------------
 
@@ -502,32 +484,20 @@ def decay_profile(spec: str):
     return fam.profile(p)
 
 
-def inverse_design(d, qmax: int, n_max: int | None = None) -> EtaSequence:
+def inverse_design(d: Callable[[int], float], qmax: int) -> EtaSequence:
     """Construct eta whose double tail realizes a target decay profile.
 
-    ``d`` maps q >= 1 to a strictly decreasing, convex-difference profile
-    (a callable, or a finite sequence indexed from q=1).  The construction
-    sets eta_r = d_r - 2 d_{r+1} + d_{r+2}; double telescoping then gives
+    ``d`` is a callable mapping q >= 1 to a strictly decreasing,
+    convex-difference profile.  The construction sets
+    eta_r = d_r - 2 d_{r+1} + d_{r+2}; double telescoping then gives
     sum_{s>=1} sum_{k>=0} eta_{k+q+s} = d_{q+1} exactly (the shift is one).
     Rejects profiles whose differences fail to stay positive, naming the
     first bad index.
     """
     if qmax < 2:
         raise ValueError("qmax must be at least 2")
-    if callable(d):
-        fn = d
-        n_max = n_max or max(2 * qmax + 16, 64)
-    else:
-        seq = np.asarray(d, dtype=float)
-        if seq.size < 4:
-            raise ValueError("target profile needs at least four entries")
-        limit = seq.size - 2
-        n_max = min(n_max or limit, limit)
-
-        def fn(q, _seq=seq):
-            return float(_seq[q - 1])
-
-    dv = np.array([fn(q) for q in range(1, n_max + 3)])
+    n_max = max(2 * qmax + 16, 64)
+    dv = np.array([d(q) for q in range(1, n_max + 3)])
     if np.any(dv <= 0.0):
         bad = int(np.argmax(dv <= 0.0)) + 1
         raise ValueError(f"target profile is not positive at q={bad}")
@@ -539,15 +509,13 @@ def inverse_design(d, qmax: int, n_max: int | None = None) -> EtaSequence:
     if np.any(eta <= 0.0):
         bad = int(np.argmax(eta <= 0.0)) + 1
         raise ValueError(f"second difference of the target is not positive at r={bad}")
-    return EtaSequence(eta, TargetTail(fn))
+    return EtaSequence(eta, TargetTail(d))
 
 
-def sequence_table(eta: EtaSequence, n_max: int | None = None) -> dict:
+def sequence_table(eta: EtaSequence) -> dict:
     """Columns (n, eta, T, a) for export; a_1 is undefined and reported nan."""
-    n_max = min(n_max or eta.n_max, eta.n_max)
-    n = np.arange(1, n_max + 1)
-    values = eta.values[:n_max]
-    t = eta.tail_grid()[:n_max]
-    a = np.full(n_max, np.nan)
-    a[1:] = np.log(values[1:] / values[:-1])
-    return {"n": n, "eta": values, "T": t, "a": a}
+    n = np.arange(1, eta.n_max + 1)
+    t = eta.tail_grid()[: eta.n_max]
+    a = np.full(eta.n_max, np.nan)
+    a[1:] = np.log(eta.values[1:] / eta.values[:-1])
+    return {"n": n, "eta": eta.values, "T": t, "a": a}

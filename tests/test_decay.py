@@ -4,8 +4,6 @@ import pytest
 from conftest import brute_double_tail
 from runshift import (
     EtaSequence,
-    ToleranceError,
-    correlation_asymptotic,
     decay_table,
     iterates_from_run,
     make_eta,
@@ -106,7 +104,7 @@ class TestCorrelationOrder:
         # D(q) = sum_{j>q} T(j) with 1/(2j^2) <= T(j) <= 1/(2(j-1)^2), so by
         # integral comparison 1/(2(q+1)) <= D(q) <= 1/(2q) + 1/(2q^2): order 1/q
         qs = np.array([128, 181, 256, 362, 512, 724, 1024])
-        d = correlation_asymptotic(power3, qs)
+        d = power3.double_tail_grid()[qs]
         lo_w, hi_w = power3.tail_model.weighted_tail(power3.n_max + 1)
         # the certified error of the grid plus the rounding of its two cumulative sums
         slack = ((power3.n_max + 1 - qs) * power3.tail_error() + 0.5 * (hi_w - lo_w)
@@ -116,7 +114,7 @@ class TestCorrelationOrder:
 
     def test_stretched_order_constant(self, stretched_half):
         qs = np.linspace(2500, 10000, 16).astype(int)
-        ratios = correlation_asymptotic(stretched_half, qs) / (
+        ratios = stretched_half.double_tail_grid()[qs] / (
             qs * np.exp(-np.sqrt(qs))
         )
         assert np.all(np.abs(ratios - 4.0) < 0.4)
@@ -125,7 +123,7 @@ class TestCorrelationOrder:
     def test_geometric_not_sharp(self, geometric_half):
         # the order statement is not attained for geometric weights: the
         # predicted scale is 1/2 at q=3 while the true correlation is 0
-        assert correlation_asymptotic(geometric_half, 3) == pytest.approx(0.5, abs=1e-13)
+        assert geometric_half.double_tail_grid()[3] == pytest.approx(0.5, abs=1e-13)
 
     def test_matches_brute_double_sum(self, power3):
         q, terms = 64, 2_000_000
@@ -134,7 +132,7 @@ class TestCorrelationOrder:
         # from the cutoff and that plus one leading term
         cut = q + terms + 1
         lo = 1.0 / cut - q / (2.0 * cut**2)
-        value = correlation_asymptotic(power3, q)
+        value = power3.double_tail_grid()[q]
         assert brute + lo <= value <= brute + lo + 2.0 * (cut - q) * cut**-3.0
 
 
@@ -192,14 +190,6 @@ class TestDecayTable:
         scalar = EtaSequence.double_tail
         monkeypatch.setattr(EtaSequence, "double_tail",
                             lambda self, q, tol=None: lags.append(q) or scalar(self, q, tol))
-        qs = np.arange(1, 513)
         table = decay_table(power3, 512)
-        d = correlation_asymptotic(power3, qs, tol=1e-6)
-        assert lags == [1]  # the one tol check, at the lag of largest certified error
+        assert lags == []  # no lag goes through the scalar route
         assert np.array_equal(table["D"], power3.double_tail_grid()[1:513])
-        assert np.array_equal(d, table["D"])
-        with pytest.raises(ToleranceError, match=r"D\(1\)"):
-            correlation_asymptotic(power3, qs, tol=1e-12)
-        # lags past n_max fall back to the tail model, one by one
-        far = [3, power3.n_max + 10]
-        assert correlation_asymptotic(power3, far).tolist() == [scalar(power3, q) for q in far]

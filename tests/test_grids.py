@@ -51,6 +51,17 @@ class TestTailGrid:
             slack = eta.tail_error() + 2.0 * (eta.n_max + 2) * U * t[m - 1]
             assert lo - slack <= t[m - 1] <= hi + slack
 
+    @GRID_SETTINGS
+    @given(analytic_eta(), st.sampled_from([1.0, 1.5, 2.0]))
+    def test_powered_sums_across_cutoff(self, eta, beta):
+        # the grid's last entry and the powered model's bracket past it differ
+        # by eta_{n_max+1}^beta, each within its own bracket's half-width; the
+        # powered model's rounded ratio or rate is raised to powers up to n_max+1
+        head, past = eta.tail(eta.n_max + 1, beta=beta), eta.tail(eta.n_max + 2, beta=beta)
+        lo, hi = eta.tail_model.powered(beta).sum_tail(eta.n_max + 2)
+        slack = eta.tail_error(beta) + (hi - lo) + 4.0 * (eta.n_max + 2) * math.ulp(head)
+        assert abs(head - past - eta.eta(eta.n_max + 1) ** beta) <= slack
+
 
 class TestDoubleTailGrid:
     @GRID_SETTINGS

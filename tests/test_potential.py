@@ -217,6 +217,16 @@ class TestJacobian:
         assert report.max_deviation < 1e-14
         assert report.first_violation is None
 
+    @pytest.mark.parametrize("states,cause", [
+        ([0, 5], "run state 0 does not exist"),
+        ([-3, 2], "run state -3 does not exist"),
+        ([], "no run states"),
+    ])
+    def test_normalization_rejects_missing_states(self, states, cause):
+        # state 0 used to read the row of the largest state, and pass
+        with pytest.raises(ValueError, match=cause):
+            check_normalization(make_eta("power", {"gamma": 3.0}, 100), states)
+
 
 class TestEquilibriumData:
     def test_table_columns(self, power3):

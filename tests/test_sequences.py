@@ -199,12 +199,29 @@ class TestScaleInvariance:
             assert scaled.tail(m + 1) / scaled.tail(m) == pytest.approx(
                 eta.tail(m + 1) / eta.tail(m), rel=1e-14, abs=0
             )
-            assert scaled.switch_ratio(m) == pytest.approx(
-                eta.switch_ratio(m), rel=1e-14, abs=0
+            assert scaled.ratios(m, m)[1][0] == pytest.approx(
+                eta.ratios(m, m)[1][0], rel=1e-14, abs=0
             )
 
     def test_scaled_tails_scale(self, power3):
         assert power3.scaled(7.0).tail(10) == pytest.approx(7.0 * power3.tail(10), rel=1e-14, abs=0)
+
+
+class TestRatios:
+    @pytest.mark.parametrize("fam,params", [("power", {"gamma": 3.0}), ("geometric", {"ratio": 0.5})])
+    def test_matches_tails(self, fam, params):
+        eta = make_eta(fam, params, 100)
+        cont, switch = eta.ratios(3, 60)
+        for m in (3, 17, 60):
+            assert cont[m - 3] == pytest.approx(eta.tail(m + 1) / eta.tail(m), rel=1e-14, abs=0)
+            assert switch[m - 3] == pytest.approx(eta.eta(m) / eta.tail(m), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("fam,params", [("power", {"gamma": 3.0}), ("geometric", {"ratio": 0.5})])
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (-5, -5), (-2, 4), (1, -2), (5, 4)])
+    def test_outside_range_rejected(self, fam, params, lo, hi):
+        # lo = 0 used to raise a bare IndexError (power) or return 0.5 (geometric)
+        with pytest.raises(ValueError, match=f"1 <= lo <= hi, got lo={lo}, hi={hi}"):
+            make_eta(fam, params, 100).ratios(lo, hi)
 
 
 class TestInverseDesign:
@@ -235,20 +252,24 @@ class TestInverseDesign:
             assert abs(eta.double_tail(q) - target) / target < 0.01
 
     def test_nonmonotone_rejection_names_index(self):
-        d = [0.5, 0.9, 1.0 / 3.0, 0.25, 0.2, 0.1]
+        def d(q):
+            return (0.5, 0.9)[q - 1] if q <= 2 else 1.0 / q
+
         with pytest.raises(ValueError, match="q=1"):
             inverse_design(d, qmax=2)
 
     def test_nonconvex_rejection(self):
         # decreasing but not convex: differences re-increase -> eta_3 < 0
-        d = [1.0, 0.6, 0.5, 0.45, 0.2, 0.1, 0.05, 0.02]
+        def d(q):
+            return (1.0, 0.6, 0.5, 0.45)[q - 1] if q <= 4 else 0.45 * 2.0 ** (4 - q)
+
         with pytest.raises(ValueError, match="r=3"):
             inverse_design(d, qmax=2)
 
 
 class TestSerialization:
     def test_table_columns(self, geometric_half):
-        table = sequence_table(geometric_half, 10)
+        table = sequence_table(geometric_half)
         assert list(table) == ["n", "eta", "T", "a"]
         assert math.isnan(table["a"][0])
         assert table["a"][1] == pytest.approx(-math.log(2.0))
