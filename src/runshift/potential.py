@@ -1,11 +1,11 @@
 """Walters-class potential on the binary shift and its equilibrium data.
 
 The potential is constant on the run cylinders: beta * a_q on a leading
-run of length q >= 2 (either symbol), -log W(beta) on length-one runs, and
-zero at the two fixed points.  At beta = 1 its transfer operator has the
-explicit eigenfunction r(q) = T(q)/eta_q on run cylinders, eigenmeasure
-rho with cylinder masses eta_q, and equilibrium measure mu with raw
-cylinder masses T(q); the normalized Jacobian
+run of length q >= 2 (either symbol), beta log eta_1 - log W(beta) on
+length-one runs, and zero at the two fixed points.  At beta = 1 its
+transfer operator has the explicit eigenfunction r(q) = T(q)/eta_q on run
+cylinders, eigenmeasure rho with cylinder masses eta_q, and equilibrium
+measure mu with raw cylinder masses T(q); the normalized Jacobian
 
     J = continue with T(q)/T(q-1),  switch with eta_q/T(q)
 
@@ -117,12 +117,12 @@ def _lead_run(point: SymbolicPoint) -> int | None:
 
 
 def potential_value(point: SymbolicPoint, eta: EtaSequence, beta: float = 1.0) -> float:
-    """The potential at a symbolic point: beta a_q, -log W(beta), or 0."""
+    """The potential at a symbolic point: beta a_q, beta log eta_1 - log W(beta), or 0."""
     q = _lead_run(point)
     if q is None:
         return 0.0
     if q == 1:
-        return -math.log(eta.W(beta))
+        return beta * math.log(eta.eta(1)) - math.log(eta.W(beta))
     return beta * math.log(eta.eta(q) / eta.eta(q - 1))
 
 
@@ -139,8 +139,11 @@ def eigenfunction(
     is 1 + eta_n^-beta sum_{j>=1} eta_{n+j}^beta lam^-j, normalized to 1 at
     the constant points.  At beta = lam = 1 this is T(n)/eta_n, and
     multiplying by eta_n gives the raw equilibrium cylinder mass T(n).
-    A given ``tol`` certifies the relative error; divergent powered series
-    (lam too small for the tail) are rejected.
+    With potential_value's potential the lam = 1 series solves L h = h at
+    every beta; the lam != 1 series solves L h = lam h only when the value
+    on length-one runs is log(lam / h(1)) instead.  A given ``tol``
+    certifies the relative error; divergent powered series (lam too small
+    for the tail) are rejected.
     """
     if lam < 1.0:
         raise ValueError("eigenvalue lam must be >= 1")

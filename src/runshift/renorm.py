@@ -74,7 +74,7 @@ def coeffs_from_eta(eta: EtaSequence, rescale: bool = False) -> WaltersCoefficie
 
     With the convention eta_q = e^{a_2 + ... + a_q} the Jacobian rows sum
     to one; pass ``rescale=True`` to divide out eta_1 first.  b = d are set
-    to -log W, the potential's value on the length-one run cylinders.
+    to log eta_1 - log W, the potential's value on the length-one run cylinders.
     """
     values = eta.values
     if values[0] != 1.0:

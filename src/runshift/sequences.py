@@ -25,7 +25,7 @@ D(q) = sum_{j>q} T(j): one more far-end cumulative sum gives every D(q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -67,12 +67,12 @@ class TailModel:
     """Analytic control of eta_n beyond the stored cutoff.
 
     ``sum_tail(m)`` and ``weighted_tail(m)`` return ``(lo, hi)`` brackets for
-    sum_{n>=m} eta_n and sum_{n>=m} (n-m) eta_n.  For monotone families the
-    brackets come from integral comparison; for geometric and target-profile
-    models they are exact (lo == hi).  ``powered(beta)`` returns the model
-    for eta_n^beta where that is available.  ``value(n)`` gives eta_n at an
+    sum_{n>=m} eta_n and sum_{n>=m} (n-m) eta_n: by integral comparison for
+    monotone families (_IntegralTail), exact (lo == hi) for geometric and
+    target-profile models.  ``powered(beta)`` returns the model for
+    eta_n^beta where that is available.  ``value(n)`` gives eta_n at an
     index or, for the analytic families, at an array of indices; make_eta
-    takes the stored values from it.
+    takes the stored values from it.  Every model is a frozen dataclass.
     """
 
     def sum_tail(self, m: int) -> tuple[float, float]:
@@ -81,20 +81,33 @@ class TailModel:
     def weighted_tail(self, m: int) -> tuple[float, float]:
         raise NotImplementedError
 
-    def value(self, n: int) -> float:
-        raise ToleranceError("tail model has no pointwise values beyond the cutoff")
-
     def powered(self, beta: float) -> "TailModel":
         if beta == 1.0:
             return self
         raise ToleranceError("tail model does not certify powered sums")
 
     def scaled(self, c: float) -> "TailModel":
-        raise NotImplementedError
+        return replace(self, scale=self.scale * c)
+
+
+class _IntegralTail(TailModel):
+    """Integral-comparison brackets for a decreasing family, which supplies
+    ``value``, ``_integral(x)`` = int_x^inf eta and ``_double_integral(a)`` =
+    int_a^inf (t - a) eta."""
+
+    def sum_tail(self, m):
+        lo = self._integral(m)
+        return lo, lo + self.value(m)
+
+    def weighted_tail(self, m):
+        a = float(m + 1)
+        lo = self._double_integral(a)
+        hi = lo + 2.0 * self._integral(a) + self.value(a)
+        return lo, hi
 
 
 @dataclass(frozen=True)
-class PowerTail(TailModel):
+class PowerTail(_IntegralTail):
     """eta_n = scale * n^-gamma, gamma > 1."""
 
     gamma: float
@@ -107,34 +120,21 @@ class PowerTail(TailModel):
         # int_x^inf scale * t^-gamma dt
         return self.scale * float(x) ** (1.0 - self.gamma) / (self.gamma - 1.0)
 
-    def sum_tail(self, m):
-        lo = self._integral(m)
-        return lo, lo + self.value(m)
-
-    def weighted_tail(self, m):
-        if self.gamma <= 2.0:
-            raise NotSummableError(
-                f"first moment of power(gamma={self.gamma}) tail is infinite"
-            )
-        g, s = self.gamma, self.scale
-        a = float(m + 1)
-        lo = s * a ** (2.0 - g) / ((g - 1.0) * (g - 2.0))
-        hi = lo + 2.0 * self._integral(a) + self.value(a)
-        return lo, hi
+    def _double_integral(self, a):
+        # int_a^inf (t - a) * scale * t^-gamma dt
+        g = self.gamma
+        if g <= 2.0:
+            raise NotSummableError(f"first moment of power(gamma={g}) tail is infinite")
+        return self.scale * float(a) ** (2.0 - g) / ((g - 1.0) * (g - 2.0))
 
     def powered(self, beta):
         if self.gamma * beta <= 1.0:
-            raise NotSummableError(
-                f"power(gamma={self.gamma}) to the beta={beta} is not summable"
-            )
+            raise NotSummableError(f"power(gamma={self.gamma}) to the beta={beta} is not summable")
         return PowerTail(self.gamma * beta, self.scale**beta)
-
-    def scaled(self, c):
-        return PowerTail(self.gamma, self.scale * c)
 
 
 @dataclass(frozen=True)
-class StretchedTail(TailModel):
+class StretchedTail(_IntegralTail):
     """eta_n = scale * exp(-rate * n^theta), 0 < theta < 1."""
 
     theta: float
@@ -153,26 +153,11 @@ class StretchedTail(TailModel):
         # int_a^inf (t - a) * scale * exp(-rate t^theta) dt
         th, r = self.theta, self.rate
         xa = r * float(a) ** th
-        part = r ** (-2.0 / th) * _upper_gamma(2.0 / th, xa) - float(a) * r ** (
-            -1.0 / th
-        ) * _upper_gamma(1.0 / th, xa)
-        return self.scale / th * part
-
-    def sum_tail(self, m):
-        lo = self._integral(m)
-        return lo, lo + self.value(m)
-
-    def weighted_tail(self, m):
-        a = m + 1
-        lo = self._double_integral(a)
-        hi = lo + 2.0 * self._integral(a) + self.value(a)
-        return lo, hi
+        g1, g2 = _upper_gamma(1.0 / th, xa), _upper_gamma(2.0 / th, xa)
+        return self.scale / th * (r ** (-2.0 / th) * g2 - float(a) * r ** (-1.0 / th) * g1)
 
     def powered(self, beta):
         return StretchedTail(self.theta, self.rate * beta, self.scale**beta)
-
-    def scaled(self, c):
-        return StretchedTail(self.theta, self.rate, self.scale * c)
 
 
 @dataclass(frozen=True)
@@ -196,35 +181,29 @@ class GeometricTail(TailModel):
     def powered(self, beta):
         return GeometricTail(self.ratio**beta, self.scale**beta)
 
-    def scaled(self, c):
-        return GeometricTail(self.ratio, self.scale * c)
 
-
+@dataclass(frozen=True)
 class TargetTail(TailModel):
-    """Tails of an inverse-designed sequence, exact from the target profile.
+    """Tails of an inverse-designed sequence, exact from the target profile d.
 
     With eta_r = d_r - 2 d_{r+1} + d_{r+2} the partial tails telescope:
     sum_{n>=m} eta_n = d_m - d_{m+1} and sum_{n>=m} (n-m) eta_n = d_{m+1}.
     """
 
-    def __init__(self, d, scale: float = 1.0):
-        self._d = d
-        self.scale = scale
+    d: Callable[[int], float]
+    scale: float = 1.0
 
     def value(self, n):
-        d = self._d
+        d = self.d
         return self.scale * (d(n) - 2.0 * d(n + 1) + d(n + 2))
 
     def sum_tail(self, m):
-        v = self.scale * (self._d(m) - self._d(m + 1))
+        v = self.scale * (self.d(m) - self.d(m + 1))
         return v, v
 
     def weighted_tail(self, m):
-        v = self.scale * self._d(m + 1)
+        v = self.scale * self.d(m + 1)
         return v, v
-
-    def scaled(self, c):
-        return TargetTail(self._d, self.scale * c)
 
 
 def _bracket(lo: float, hi: float) -> tuple[float, float]:
@@ -276,6 +255,8 @@ class EtaSequence:
     def _tail_grid(self, beta: float) -> tuple[np.ndarray, float]:
         key = float(beta)
         if key not in self._grids:
+            if not key > 0.0:
+                raise NotSummableError(f"sum eta_n^beta diverges at beta={beta}: beta must be > 0")
             far = (0.0, math.inf)
             if self.tail_model is not None:
                 far = _bracket(*self.tail_model.powered(key).sum_tail(self.n_max + 1))
@@ -328,11 +309,11 @@ class EtaSequence:
 
     def tail(self, m: int, tol: float | None = None, beta: float = 1.0) -> float:
         """sum_{n>=m} eta_n^beta, T(m) at beta = 1, with certified error <= tol
-        when given; past n_max + 1 the tail model answers."""
+        when given; past n_max + 1 the tail model answers.  beta must be > 0."""
         if m < 1:
             raise ValueError("indices start at 1")
+        grid, err = self._tail_grid(beta)  # checks beta even past the grid
         if m <= self.n_max + 1:
-            grid, err = self._tail_grid(beta)
             val = float(grid[m - 1])
         elif self.tail_model is None:
             val, err = 0.0, math.inf

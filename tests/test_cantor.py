@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -148,6 +147,8 @@ def _mp_integral(ds, alpha, ns, dps=30):
     self-similarity mu_p (k^p - 1) = (1/l) sum_c sum_(i<p) C(p, i) c^(p-i) mu_i
     in exact-integer coefficients, summed until a term falls below 10^-dps
     (the terms then fall at least geometrically, by sup K / n <= 0.75)."""
+    import mpmath
+
     out = []
     with mpmath.workdps(dps + 10):
         mu = [mpmath.mpf(1)]
@@ -197,6 +198,7 @@ class TestMomentSeries:
         (2, (0, 2), [3, 4, 7]),  # sup K = 2
     ])
     def test_exact_series_within_bound_of_mpmath(self, k, digits, ns):
+        mpmath = pytest.importorskip("mpmath")  # only this test needs the test extra
         cm = CantorMeasure(DigitSystem(k, digits))
         values, bounds = quadrature_values(cm, ns)
         for v, b, ref in zip(values, bounds, _mp_integral(cm.ds, cm.alpha, ns)):

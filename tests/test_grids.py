@@ -1,4 +1,5 @@
-"""Property tests and a high-precision reference for the tail grids.
+"""Property tests and high-precision references for the tail grids, the
+tail models' brackets past them, and the transfer operator built on them.
 
 Needs the optional test packages hypothesis and mpmath (the ``test``
 extra); the module is skipped without them.
@@ -15,8 +16,9 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import transfer_ratio  # noqa: E402
 from runshift import make_eta  # noqa: E402
-from runshift.sequences import FAMILIES  # noqa: E402
+from runshift.sequences import FAMILIES, PowerTail, StretchedTail  # noqa: E402
 
 U = 2.0**-53  # unit roundoff of double precision
 
@@ -61,6 +63,37 @@ class TestTailGrid:
         lo, hi = eta.tail_model.powered(beta).sum_tail(eta.n_max + 2)
         slack = eta.tail_error(beta) + (hi - lo) + 4.0 * (eta.n_max + 2) * math.ulp(head)
         assert abs(head - past - eta.eta(eta.n_max + 1) ** beta) <= slack
+
+
+class TestFarBrackets:
+    # the tail models' (lo, hi) brackets past the grid against 40-digit sums
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("m", [10, 1001, 100_000])
+    def test_power_against_hurwitz_zeta(self, gamma, m):
+        model = PowerTail(gamma)
+        with mpmath.workdps(40):
+            t = mpmath.zeta(gamma, m)
+            w = mpmath.zeta(gamma - 1, m) - m * t  # sum_{n>=m} (n-m) n^-gamma
+            (s_lo, s_hi), (w_lo, w_hi) = model.sum_tail(m), model.weighted_tail(m)
+            assert s_lo <= t <= s_hi
+            assert w_lo <= w <= w_hi
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_stretched_against_nsum(self, theta, m):
+        # the default nsum extrapolation is off by 1e-6 relative at theta 0.3;
+        # its Euler-Maclaurin method agrees with a direct 1e5-term sum to 1e-26
+        model = StretchedTail(theta)
+        with mpmath.workdps(40):
+            def f(n):
+                return mpmath.exp(-mpmath.mpf(n) ** theta)
+
+            t = mpmath.nsum(f, [m, mpmath.inf], method="euler-maclaurin")
+            w = mpmath.nsum(lambda n: (n - m) * f(n), [m, mpmath.inf], method="euler-maclaurin")
+            (s_lo, s_hi), (w_lo, w_hi) = model.sum_tail(m), model.weighted_tail(m)
+            assert s_lo <= t <= s_hi
+            assert w_lo <= w <= w_hi
 
 
 class TestDoubleTailGrid:
@@ -128,3 +161,14 @@ class TestDoubleTailGrid:
                 d_same += same[q]
                 d_true += true[q]
         assert d[3000] < 1e-19
+
+
+class TestTransferOperator:
+    @GRID_SETTINGS
+    @given(analytic_eta())
+    def test_eigenfunction_is_fixed(self, eta):
+        # L r = r for r(q) = T(q)/eta_q on every leading run, whatever eta_1 is;
+        # each of the two terms rounds a few times, exp(-log W) about |log W| times
+        slack = (16.0 + 2.0 * abs(math.log(eta.W()))) * U
+        for q in np.unique(np.linspace(1, eta.n_max - 1, 9).astype(int)):
+            assert abs(transfer_ratio(eta, int(q)) - 1.0) <= slack

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ZETA3
+from conftest import ZETA3, transfer_ratio
 from runshift import (
     ALL_ONES,
     ALL_ZEROS,
@@ -14,16 +14,20 @@ from runshift import (
     SymbolicPoint,
     ToleranceError,
     check_normalization,
+    coeffs_from_eta,
+    decay_profile,
     eigenfunction,
     equilibrium_cylinder,
     equilibrium_normalization,
     equilibrium_table,
     inner_ones,
     inner_zeros,
+    inverse_design,
     jacobian,
     lead_ones,
     lead_zeros,
     make_eta,
+    parse_family,
     potential_value,
     zero_cylinder_mass,
 )
@@ -70,6 +74,56 @@ class TestPotentialValue:
         v1 = potential_value(lead_zeros(4), power3, beta=1.0)
         v2 = potential_value(lead_zeros(4), power3, beta=2.0)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14, abs=0)
+
+    def test_unit_run_value_with_eta1_below_one(self, stretched_half):
+        # beta log eta_1 - log W(beta), with eta_1 = 1/e
+        for beta in (1.0, 2.0):
+            want = beta * -1.0 - math.log(stretched_half.W(beta))
+            assert potential_value(inner_zeros(3), stretched_half, beta) == pytest.approx(
+                want, rel=1e-15, abs=0
+            )
+        # at beta = 1 it is the b of the rescaled Walters coefficients
+        b = coeffs_from_eta(stretched_half, rescale=True).b
+        assert potential_value(inner_zeros(3), stretched_half) == pytest.approx(b, rel=1e-14, abs=0)
+
+
+class TestTransferOperator:
+    @pytest.mark.parametrize("spec,n_max,beta", [
+        ("stretched:0.5", 2000, 1.0),  # eta_1 = 1/e
+        ("stretched:0.5", 2000, 2.0),
+        ("geometric:0.6", 200, 1.5),
+    ])
+    def test_eigenfunction_is_fixed(self, spec, n_max, beta):
+        # L h = h on every leading run, a few roundings per term
+        eta = make_eta(*parse_family(spec), n_max)
+        for q in (1, 2, 5, 50, n_max // 2, n_max - 1):
+            assert transfer_ratio(eta, q, beta) == pytest.approx(1.0, rel=0, abs=16 * 2.0**-53)
+
+    def test_inverse_designed_eigenfunction_is_fixed(self):
+        eta = inverse_design(decay_profile("power:3"), qmax=200)
+        assert eta.eta(1) < 0.8
+        for q in (1, 5, 50, 200, eta.n_max - 1):
+            assert transfer_ratio(eta, q) == pytest.approx(1.0, rel=0, abs=16 * 2.0**-53)
+
+
+class TestNonpositiveBeta:
+    @pytest.mark.parametrize("spec", ["power:3", "stretched:0.5", "geometric:0.6"])
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_every_powered_route_rejects(self, spec, beta):
+        # sum eta_n^beta diverges for beta <= 0 whatever the family
+        eta = make_eta(*parse_family(spec), 200)
+        calls = [
+            lambda: eta.W(beta),
+            lambda: eta.tail(5, beta=beta),
+            lambda: eta.tail(eta.n_max + 10, beta=beta),
+            lambda: eta.tail_grid(beta),
+            lambda: potential_value(inner_zeros(2), eta, beta),
+            lambda: eigenfunction(lead_zeros(3), eta, beta=beta),
+            lambda: eigenfunction(lead_zeros(3), eta, beta=beta, lam=1.5, tol=1e-10),
+        ]
+        for call in calls:
+            with pytest.raises(NotSummableError, match=f"beta={beta}"):
+                call()
 
 
 class TestEigenfunction:

@@ -241,7 +241,11 @@ class TestInverseDesign:
         for n in (eta.n_max + 1, 500):
             d = [float(q) ** -2.0 for q in (n, n + 1, n + 2)]
             assert eta.eta(n) == pytest.approx(d[0] - 2.0 * d[1] + d[2], rel=1e-12, abs=0)
-        assert model.scaled(3.0).value(9) == 3.0 * model.value(9)
+        big = model.scaled(3.0)
+        assert big.value(9) == 3.0 * model.value(9)
+        for m in (9, eta.n_max + 1):
+            assert big.sum_tail(m) == tuple(3.0 * x for x in model.sum_tail(m))
+            assert big.weighted_tail(m) == tuple(3.0 * x for x in model.weighted_tail(m))
         far = eta.n_max + 5
         assert eta.scaled(3.0).tail(far) == pytest.approx(3.0 * eta.tail(far), rel=1e-15, abs=0)
 
