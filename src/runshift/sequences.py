@@ -72,7 +72,8 @@ class TailModel:
     target-profile models.  ``powered(beta)`` returns the model for
     eta_n^beta where that is available.  ``value(n)`` gives eta_n at an
     index or, for the analytic families, at an array of indices; make_eta
-    takes the stored values from it.  Every model is a frozen dataclass.
+    takes the stored values from it.  Every model is a frozen dataclass with
+    a ``scale`` field, which the shared ``scaled(c)`` multiplies by c.
     """
 
     def sum_tail(self, m: int) -> tuple[float, float]:
