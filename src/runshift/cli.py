@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._floattext import float_text
+from ._floattext import float_text, int_text
 from .cantor import CantorMeasure, DigitSystem, monte_carlo_integral, quadrature
 from .decay import decay_table
 from .oracle import build_chain, correlation, sample_paths
@@ -47,7 +47,8 @@ __all__ = ["main", "entry"]
 _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # The writer formats and writes about _CHUNK cells at a time (whole rows in CSV), so its
 # memory does not grow with the table.  The float cells of a chunk, all its columns in
-# CSV and one column in JSON, come from one call of the vectorized repr of _floattext.
+# CSV and one column in JSON, come from one call of the vectorized repr of _floattext;
+# a JSON table of at most _CHUNK cells is formatted by one call for all its columns.
 _CHUNK = 4096
 
 
@@ -56,25 +57,39 @@ def _text(parts: list) -> str:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
-def _csv_rows(chunk: list, floats: list) -> str:
-    """CSV lines of a chunk of rows: ``repr`` of float cells, ``str`` of the rest."""
-    text = iter(float_text(np.array([c for c, f in zip(chunk, floats) if f], dtype=float)))
+def _cell_text(cols: list, json: bool = False) -> list:
+    """Text matrices of the columns' cells: ``repr`` of floats, all float columns in
+    one kernel call, and ``str`` of integers; with ``json``, ``json.dumps`` of each
+    cell as a float."""
+    floats = [c for c in cols if c.dtype.kind == "f"]
+    text = float_text(np.concatenate(floats), json) if floats else None
+    out, at = [], 0
+    for c in cols:
+        if c.dtype.kind == "f":
+            out.append(text[at : at + len(c)])
+            at += len(c)
+        else:
+            out.append(int_text(c, json))
+    return out
+
+
+def _csv_rows(chunk: list) -> str:
+    """CSV lines of a chunk of rows."""
     comma = np.full((len(chunk[0]), 1), ord(","), np.uint8)
     parts = []
-    for c, f in zip(chunk, floats):
-        cell = next(text) if f else c.astype(bytes)  # numpy's str of each cell
-        parts += [cell.view(np.uint8).reshape(len(c), -1), comma]
+    for cell in _cell_text(chunk):
+        parts += [cell, comma]
     parts[-1] = np.full_like(comma, ord("\n"))
     return _text(parts)
 
 
-def _json_cells(x: np.ndarray, first: bool) -> str:
-    """A chunk of a JSON column's cells, each on its own line after a comma,
+def _json_cells(text: np.ndarray, first: bool) -> str:
+    """A chunk of a JSON column's cell texts, each on its own line after a comma,
     except the first cell of the column."""
-    sep = np.empty((len(x), _JSON_SEP.size), np.uint8)
+    sep = np.empty((len(text), _JSON_SEP.size), np.uint8)
     sep[:] = _JSON_SEP
-    sep[0, 0] *= not first  # NUL: no comma before a column's first cell
-    return _text([sep, float_text(x, json=True)])
+    sep[:1, 0] *= not first  # NUL: no comma before a column's first cell
+    return _text([sep, text])
 
 
 def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) -> int:
@@ -89,11 +104,16 @@ def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) 
         if as_json:
             head = {"meta": {"version": __version__, **meta}, "columns": list(columns)}
             fh.write(json.dumps(head, indent=1).removesuffix("\n}") + ',\n "data": {')
-            for i, (name, col) in enumerate(zip(columns, cols)):
+            if sum(map(len, cols)) <= _CHUNK:  # the whole table at once
+                chunks = ([text] for text in _cell_text(cols, json=True))
+            else:
+                chunks = ((_cell_text([col[at : at + _CHUNK]], json=True)[0]
+                           for at in range(0, len(col), _CHUNK)) for col in cols)
+            for i, (name, col, texts) in enumerate(zip(columns, cols, chunks)):
                 # indent=1 layout: "[]" when empty, else one cell a line, comma-separated
                 fh.write(f"{',' if i else ''}\n  {json.dumps(name)}: [")
-                for at in range(0, len(col), _CHUNK):
-                    fh.write(_json_cells(col[at : at + _CHUNK].astype(float), at == 0))
+                for j, text in enumerate(texts):
+                    fh.write(_json_cells(text, j == 0))
                 fh.write("\n  ]" if len(col) else "]")
             fh.write("\n }\n}\n" if columns else "}\n}\n")
         else:
@@ -102,9 +122,8 @@ def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) 
             fh.write(",".join(columns) + "\n")
             rows = min(map(len, cols), default=0)
             step = max(1, _CHUNK // max(1, len(cols)))
-            floats = [col.dtype.kind == "f" for col in cols]
             for at in range(0, rows, step):
-                fh.write(_csv_rows([col[at : min(at + step, rows)] for col in cols], floats))
+                fh.write(_csv_rows([col[at : min(at + step, rows)] for col in cols]))
     print(f"wrote {path} ({note})")
     return 0
 

@@ -143,7 +143,7 @@ def eigenfunction(
     every beta; the lam != 1 series solves L h = lam h only when the value
     on length-one runs is log(lam / h(1)) instead.  A given ``tol``
     certifies the relative error; divergent powered series (lam too small
-    for the tail) are rejected.
+    for the tail) and an ``eta_n^beta`` that underflows to 0 are rejected.
     """
     if lam < 1.0:
         raise ValueError("eigenvalue lam must be >= 1")
@@ -151,6 +151,11 @@ def eigenfunction(
     if n is None:
         return 1.0
     scale = eta.eta(n) ** beta
+    if scale == 0.0:
+        raise ToleranceError(
+            f"eigenfunction at n={n}: eta_n^beta underflows double precision at "
+            f"beta={beta!r}, so the series cannot be divided by it"
+        )
     if lam == 1.0:
         series = eta.tail(n + 1, beta=beta)
         err = eta.tail_error(beta)

@@ -380,6 +380,15 @@ def _zeros_table(rows):
     return {"i": ints, "residual": z}
 
 
+def _ints_table():
+    """Integer cells at the edges of JSON's str(v) + ".0" (|v| <= 2^53) and of int64."""
+    i64 = np.iinfo(np.int64)
+    ints = np.array([0, -1, 7, -10, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 10**16,
+                     -(10**16), 10**17 + 1, i64.min, i64.max])
+    unsigned = np.array([0, 1, 2**53 + 1, 2**63, 2**64 - 1, 10**19] + [5] * 7, np.uint64)
+    return {"i": ints, "x": ints * 0.5, "u": unsigned}
+
+
 class TestTableWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("meta,columns", [
@@ -396,8 +405,9 @@ class TestTableWriter:
         ({"command": "eta"}, _special_table(512)),
         ({"command": "fixed-point"}, _zeros_table(513)),
         ({"command": "fixed-point"}, _zeros_table(3 * _CHUNK)),
+        ({"command": "apply"}, _ints_table()),
     ], ids=["special", "whole-chunks", "one-row", "empty", "rows-170", "rows-171",
-            "rows-511", "rows-512", "zeros", "zeros-chunks"])
+            "rows-511", "rows-512", "zeros", "zeros-chunks", "ints"])
     def test_bytes_match_reference(self, tmp_path, capsys, fmt, meta, columns):
         out = tmp_path / f"t.{fmt}"
         args = argparse.Namespace(out=str(out), out_format=fmt)

@@ -186,6 +186,13 @@ class TestEigenfunction:
             eigenfunction(lead_zeros(n), eta, lam=1.05)
         assert eigenfunction(lead_zeros(n), eta) > 1.0
 
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_underflowing_scale_rejected(self, lam):
+        # make_eta accepts the sequence (eta_1300 is a normal double), but eta_1300^1.5 is 0.0
+        eta = make_eta("stretched", {"theta": 0.9}, 1400)
+        with pytest.raises(ToleranceError, match="n=1300: eta_n\\^beta underflows .* beta=1.5"):
+            eigenfunction(lead_zeros(1300), eta, beta=1.5, lam=lam)
+
     def test_eigenvalue_below_one_rejected(self, power3):
         with pytest.raises(ValueError):
             eigenfunction(lead_zeros(2), power3, lam=0.5)
