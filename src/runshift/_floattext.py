@@ -233,7 +233,8 @@ def int_text(x: np.ndarray, json: bool = False) -> np.ndarray:
     x = np.asarray(x)
     flat = x.ravel()
     sign = (flat < 0).astype(np.intp)
-    mag = np.abs(flat).astype(np.uint64)  # the int64 minimum wraps to 2^63
+    # magnitudes as uint64: signed values widen to int64 first, whose minimum wraps to 2^63
+    mag = np.abs(flat.astype(np.int64 if flat.dtype.kind == "i" else np.uint64)).astype(np.uint64)
     if json:  # str(v) + ".0" while v is a double; 0 and the rest as floats
         other = (mag > _EXACT) | (mag == _U(0))
         out = _decimal_text(sign, np.where(other, _U(1), mag), 0)

@@ -381,12 +381,15 @@ def _zeros_table(rows):
 
 
 def _ints_table():
-    """Integer cells at the edges of JSON's str(v) + ".0" (|v| <= 2^53) and of int64."""
+    """Integer cells at the edges of JSON's str(v) + ".0" (|v| <= 2^53), of int64, uint64
+    and int32."""
     i64 = np.iinfo(np.int64)
     ints = np.array([0, -1, 7, -10, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 10**16,
                      -(10**16), 10**17 + 1, i64.min, i64.max])
     unsigned = np.array([0, 1, 2**53 + 1, 2**63, 2**64 - 1, 10**19] + [5] * 7, np.uint64)
-    return {"i": ints, "x": ints * 0.5, "u": unsigned}
+    i32 = np.iinfo(np.int32)
+    narrow = np.array([i32.min, i32.max, -1, 0] + [-7] * 9, np.int32)
+    return {"i": ints, "x": ints * 0.5, "u": unsigned, "s": narrow}
 
 
 class TestTableWriter:
