@@ -36,7 +36,6 @@ _FIXED = range(-3, 17)  # decimal point positions repr writes without an exponen
 _INF = _U(0x7FF << 52)
 _CONST = np.frombuffer(b"0.-\0", np.uint32)[0]
 _POW10 = np.array([10**e for e in range(20)], np.uint64)
-_EXACT = _U(2**53)  # every integer up to this magnitude is a double
 
 
 # schubfach: 11 rows of 4096 uint64 entries; quads: the text "0000".."9999" of each
@@ -187,26 +186,6 @@ def _digit_words(src: np.ndarray, top, hi, lo) -> np.ndarray:
     return groups
 
 
-def _decimal_text(sign, digits, k) -> np.ndarray:
-    """Text of each value ``(-1)^sign digits 10^k``, 0 < digits < 10^17."""
-    tables = _tables()
-    count = _POW10.searchsorted(digits, "right")  # digits of each significand
-    at = k + count + 323  # value = 0.d1d2... 10^(at - 323)
-    # left-aligned to 17 digits, so the first is source byte _FIRST
-    aligned = digits * _POW10.take(17 - count)
-    hi = aligned // _U(10**8)
-    lo = (aligned - hi * _U(10**8)).astype(np.uint32)
-    hi = hi.astype(np.uint32)
-    top = hi // np.uint32(10**8)
-    src = np.empty((len(digits), 8), np.uint32)
-    groups = _digit_words(src, top, hi - top * np.uint32(10**8), lo)
-    src[:, 5] = _CONST
-    src.view(np.uint64)[:, 3] = tables.exps.take(at)
-    # digits after trailing zeros are stripped: the end of the last nonzero group
-    n = np.maximum.reduce([end.take(g) for end, g in zip(tables.ends, groups[1:])], initial=1)
-    return _gather(src, tables.layout.take(tables.classes.take(at) + 18 * sign + n, axis=0))
-
-
 def float_text(x: np.ndarray, json: bool = False) -> np.ndarray:
     """``repr`` of each value of a float64 array, NUL-padded to ``WIDTH`` ``uint8``
     slots along a new last axis; with ``json``, nan and the infinities are spelled
@@ -216,8 +195,24 @@ def float_text(x: np.ndarray, json: bool = False) -> np.ndarray:
     bits = bits & _U(2**63 - 1)
     special = (bits == _U(0)) | (bits >= _INF)
     some = special.any()
-    out = _decimal_text(sign, *_shortest(np.where(special, _U(0x3FF << 52), bits) if some else
-                                         bits))  # 1.0 in place of the special values
+    # 1.0 in place of the special values
+    digits, k = _shortest(np.where(special, _U(0x3FF << 52), bits) if some else bits)
+    tables = _tables()
+    count = _POW10.searchsorted(digits, "right")  # digits of each significand
+    at = k + count + 323  # value = 0.d1d2... 10^(at - 323)
+    # left-aligned to 17 digits, so the first is source byte _FIRST
+    aligned = digits * _POW10.take(17 - count)
+    hi = aligned // _U(10**8)
+    lo = (aligned - hi * _U(10**8)).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    top = hi // np.uint32(10**8)
+    src = np.empty((len(bits), 8), np.uint32)
+    groups = _digit_words(src, top, hi - top * np.uint32(10**8), lo)
+    src[:, 5] = _CONST
+    src.view(np.uint64)[:, 3] = tables.exps.take(at)
+    # digits after trailing zeros are stripped: the end of the last nonzero group
+    n = np.maximum.reduce([end.take(g) for end, g in zip(tables.ends, groups[1:])], initial=1)
+    out = _gather(src, tables.layout.take(tables.classes.take(at) + 18 * sign + n, axis=0))
     if some:
         zero = bits[special] == _U(0)
         kind = np.where(zero, sign[special], np.where(bits[special] > _INF, 2,
@@ -226,29 +221,22 @@ def float_text(x: np.ndarray, json: bool = False) -> np.ndarray:
     return out.reshape(*np.shape(x), WIDTH)
 
 
-def int_text(x: np.ndarray, json: bool = False) -> np.ndarray:
+def int_text(x: np.ndarray) -> np.ndarray:
     """``str`` of each value of an integer array, NUL-padded to the longest of them
-    along a new last axis; with ``json``, ``json.dumps`` of each value as a float,
-    padded to ``WIDTH`` as ``float_text`` pads it."""
+    along a new last axis."""
     x = np.asarray(x)
     flat = x.ravel()
     sign = (flat < 0).astype(np.intp)
     # magnitudes as uint64: signed values widen to int64 first, whose minimum wraps to 2^63
     mag = np.abs(flat.astype(np.int64 if flat.dtype.kind == "i" else np.uint64)).astype(np.uint64)
-    if json:  # str(v) + ".0" while v is a double; 0 and the rest as floats
-        other = (mag > _EXACT) | (mag == _U(0))
-        out = _decimal_text(sign, np.where(other, _U(1), mag), 0)
-        if other.any():
-            out[other] = float_text(flat[other].astype(float), json=True)
-    else:
-        count = np.maximum(_POW10.searchsorted(mag, "right"), 1)  # 0 has one digit
-        top = mag // _U(10**16)
-        rest = mag - top * _U(10**16)
-        hi = rest // _U(10**8)
-        lo = rest - hi * _U(10**8)
-        src = np.empty((len(flat), 6), np.uint32)
-        _digit_words(src, top.astype(np.uint32), hi.astype(np.uint32), lo.astype(np.uint32))
-        src[:, 5] = _CONST
-        width = (sign + count).max(initial=1)
-        out = _gather(src, _tables().ints.take(21 * sign + count, axis=0)[:, :width])
-    return out.reshape(*x.shape, out.shape[-1])
+    count = np.maximum(_POW10.searchsorted(mag, "right"), 1)  # 0 has one digit
+    top = mag // _U(10**16)
+    rest = mag - top * _U(10**16)
+    hi = rest // _U(10**8)
+    lo = rest - hi * _U(10**8)
+    src = np.empty((len(flat), 6), np.uint32)
+    _digit_words(src, top.astype(np.uint32), hi.astype(np.uint32), lo.astype(np.uint32))
+    src[:, 5] = _CONST
+    width = (sign + count).max(initial=1)
+    out = _gather(src, _tables().ints.take(21 * sign + count, axis=0)[:, :width])
+    return out.reshape(*x.shape, width)

@@ -47,8 +47,8 @@ __all__ = ["main", "entry"]
 _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # The writer formats and writes about _CHUNK cells at a time (whole rows in CSV), so its
 # memory does not grow with the table.  The float cells of a chunk, all its columns in
-# CSV and one column in JSON, come from one call of the vectorized repr of _floattext;
-# a JSON table of at most _CHUNK cells is formatted by one call for all its columns.
+# CSV and one column in JSON (which writes every cell as a float), come from one call of
+# the vectorized repr of _floattext; a JSON table of at most _CHUNK cells takes one call.
 _CHUNK = 4096
 
 
@@ -58,18 +58,18 @@ def _text(parts: list) -> str:
 
 
 def _cell_text(cols: list, json: bool = False) -> list:
-    """Text matrices of the columns' cells: ``repr`` of floats, all float columns in
-    one kernel call, and ``str`` of integers; with ``json``, ``json.dumps`` of each
-    cell as a float."""
-    floats = [c for c in cols if c.dtype.kind == "f"]
+    """Text matrices of the columns' cells: ``repr`` of floats and ``str`` of integers;
+    with ``json``, ``json.dumps`` of each cell as a float.  The float cells, and with
+    ``json`` every cell, come from one kernel call."""
+    floats = [c for c in cols if json or c.dtype.kind == "f"]
     text = float_text(np.concatenate(floats), json) if floats else None
     out, at = [], 0
     for c in cols:
-        if c.dtype.kind == "f":
+        if json or c.dtype.kind == "f":
             out.append(text[at : at + len(c)])
             at += len(c)
         else:
-            out.append(int_text(c, json))
+            out.append(int_text(c))
     return out
 
 

@@ -381,8 +381,8 @@ def _zeros_table(rows):
 
 
 def _ints_table():
-    """Integer cells at the edges of JSON's str(v) + ".0" (|v| <= 2^53), of int64, uint64
-    and int32."""
+    """Integer cells at the edges of the doubles' exact integers (|v| <= 2^53), of int64,
+    uint64 and int32."""
     i64 = np.iinfo(np.int64)
     ints = np.array([0, -1, 7, -10, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 10**16,
                      -(10**16), 10**17 + 1, i64.min, i64.max])
