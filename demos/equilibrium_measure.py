@@ -38,7 +38,8 @@ def main():
               f"= raw cylinder mass T({n})")
     print(f"r(1) eta_1 = W = {eigenfunction(lead_zeros(1), eta) * eta.eta(1):.6f}")
 
-    print("\n== eigenfunction at a supplied eigenvalue (beta=0.8, lambda=1.3) ==")
+    print("\n== lambda != 1 series (beta=0.8, lambda=1.3): an eigenfunction only with "
+          "log(lambda / h(1)) on length-one runs ==")
     print(f"value at 0^2 1... : {eigenfunction(lead_zeros(2), eta, beta=0.8, lam=1.3):.8f}")
 
     print("\n== equilibrium cylinder masses ==")

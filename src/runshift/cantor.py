@@ -26,13 +26,18 @@ its bound adds the series' tail and an a-priori rounding bound to the
 midpoint rule's error.  ``prefix_points`` enumerates the cylinder base
 points directly, the independent reference for the series, and a Monte
 Carlo integrator cross-checks both from random digit strings, drawn one
-integer per block of g digits that indexes ``prefix_points(g)``.  One
-check, ``_check_kernel``, rejects n outside the kernel's domain.
+integer per block of g digits that indexes ``prefix_points(g)``.  After
+the first chunk of samples, one worker thread draws those integers from
+the same generator and in the same order while the chunk before is
+reduced, so its estimates are those of one thread.  One check,
+``_check_kernel``, rejects n outside the kernel's domain.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +262,10 @@ def quadrature_values(
     return scale * value, bounds
 
 
-_MC_CHUNK = 1 << 17
-_MC_BLOCK = 1 << 16
+_MC_CHUNK = 1 << 17  # samples reduced at once
+_MC_DRAW = 1 << 15  # index rows per draw on the worker thread
+_MC_AHEAD = 3  # draws the worker may finish before the caller takes them
+_MC_BLOCK = 1 << 16  # most base points in one block's table
 
 
 def _mc_blocks(cm: CantorMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +274,46 @@ def _mc_blocks(cm: CantorMeasure) -> tuple[np.ndarray, np.ndarray]:
     g = next(g for g in range(1, 17) if cm.ds.l ** (g + 1) > _MC_BLOCK)  # l >= 2: g <= 16
     blocks = math.ceil(math.ceil(40.0 / math.log2(cm.ds.k)) / g)
     return cm.prefix_points(g), cm.ds.k ** (-g * np.arange(blocks, dtype=float))
+
+
+class _DrawAhead:
+    """The index arrays ``rng.integers(0, high, size=(size, width))`` for size
+    in ``sizes``, drawn in order on one worker thread at most ``_MC_AHEAD``
+    arrays ahead of ``take()``.  ``take()`` returns the next array, or
+    re-raises the exception its draw raised; ``close()`` ends the thread."""
+
+    def __init__(self, rng: np.random.Generator, high: int, width: int, sizes: list[int]):
+        self._drawn = collections.deque()
+        self._room, self._ready = threading.Semaphore(_MC_AHEAD), threading.Semaphore(0)
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._run, args=(rng, high, width, sizes), name="runshift-mc-draw", daemon=True)
+        self._thread.start()
+
+    def _run(self, rng, high, width, sizes) -> None:
+        try:
+            for size in sizes:
+                self._room.acquire()
+                if self._closed:
+                    return
+                self._drawn.append(rng.integers(0, high, size=(size, width)))
+                self._ready.release()
+        except BaseException as exc:  # re-raised by take()
+            self._drawn.append(exc)
+            self._ready.release()
+
+    def take(self) -> np.ndarray:
+        self._ready.acquire()
+        idx = self._drawn.popleft()
+        if isinstance(idx, BaseException):
+            raise idx
+        self._room.release()
+        return idx
+
+    def close(self) -> None:
+        self._closed = True
+        self._room.release()
+        self._thread.join()
 
 
 def monte_carlo_integral(
@@ -281,23 +328,48 @@ def monte_carlo_integral(
     seed.  Each chunk's count, mean and sum of squared deviations are merged
     into the running ones (Chan, Golub and LeVeque 1979), so only one chunk
     of values is held at a time.
+
+    The calling thread draws the first chunk's indices.  One worker thread
+    draws the later chunks' from the same generator, in the same order, in
+    draws of ``_MC_DRAW`` rows, while the caller reduces the chunk before;
+    splitting a draw leaves the stream as it is, so the estimates are those
+    of one thread.  At most one chunk of indices is live, and a one-chunk
+    call starts no thread.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     _check_kernel(cm, n)
     table, weights = _mc_blocks(cm)
     rng = np.random.default_rng(seed)
+    chunks = [min(_MC_CHUNK, samples - s) for s in range(0, samples, _MC_CHUNK)]
+    rows, values = np.empty((chunks[0], weights.size)), np.empty(chunks[0])
+    # clip gathers table[idx] without a bounds check: every index is in range
+    np.take(table, rng.integers(0, table.size, size=rows.shape), out=rows, mode="clip")
+    sizes = [min(_MC_DRAW, c - s) for c in chunks[1:] for s in range(0, c, _MC_DRAW)]
+    draws = _DrawAhead(rng, table.size, weights.size, sizes) if sizes else None
     count, mean, m2 = 0, 0.0, 0.0
-    while count < samples:
-        chunk = min(samples - count, _MC_CHUNK)
-        idx = rng.integers(0, table.size, size=(chunk, weights.size))
-        f = np.exp(-cm.alpha * np.log(n - table[idx] @ weights))
-        f_mean = float(np.mean(f))
-        delta = f_mean - mean
-        total = count + chunk
-        mean += delta * chunk / total
-        m2 += float(np.sum((f - f_mean) ** 2)) + delta * delta * count * chunk / total
-        count = total
+    try:
+        for chunk in chunks:
+            if count:  # the first chunk is gathered already
+                for start in range(0, chunk, _MC_DRAW):
+                    idx = draws.take()
+                    np.take(table, idx, out=rows[start : start + idx.shape[0]], mode="clip")
+            f = np.matmul(rows[:chunk], weights, out=values[:chunk])
+            np.subtract(n, f, out=f)
+            np.log(f, out=f)
+            np.multiply(-cm.alpha, f, out=f)
+            np.exp(f, out=f)  # (n - t)^-alpha
+            f_mean = float(np.mean(f))
+            delta = f_mean - mean
+            total = count + chunk
+            mean += delta * chunk / total
+            np.subtract(f, f_mean, out=f)
+            np.square(f, out=f)
+            m2 += float(np.sum(f)) + delta * delta * count * chunk / total
+            count = total
+    finally:
+        if draws is not None:
+            draws.close()
     return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 

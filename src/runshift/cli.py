@@ -25,6 +25,7 @@ from .cantor import CantorMeasure, DigitSystem, monte_carlo_integral, quadrature
 from .decay import decay_table
 from .oracle import build_chain, correlation, sample_paths
 from .renorm import (
+    InputTooShort,
     WaltersCoefficients,
     renorm1_apply,
     renorm1_fixed_point,
@@ -213,7 +214,11 @@ def _cmd_fixed_point(args) -> int:
         coeffs = fp.coeffs
         meta.update(depth=_depth_field(fp.depth), alpha=fp.measure.alpha)
     meta.update(b=args.b, nmax=args.nmax)
-    image = operator(coeffs)
+    try:
+        image = operator(coeffs)
+    except InputTooShort as exc:
+        raise ValueError(f"--nmax {args.nmax} is too small: (Ra)_2 needs a_{exc.required}, "
+                         f"so --nmax must be at least {exc.required}") from None
     n = np.arange(2, coeffs.n_max + 1)
     ra = np.full(n.size, np.nan)
     ra[: image.a.size] = image.a
@@ -226,7 +231,12 @@ def _cmd_fixed_point(args) -> int:
 
 def _cmd_apply(args) -> int:
     operator, fields = _select_operator(args)
-    image = operator(_read_coeffs(args.infile))
+    coeffs = _read_coeffs(args.infile)
+    try:
+        image = operator(coeffs)
+    except InputTooShort as exc:
+        raise ValueError(f"{args.infile}: rows n=2..{coeffs.n_max} are too few, "
+                         f"(Ra)_2 needs a_{exc.required}") from None
     meta = {"command": "apply", **fields, "in": args.infile}
     n = np.arange(2, image.n_max + 1)
     return _write_table(args, "applied.csv", meta, {"n": n, "a": image.a},

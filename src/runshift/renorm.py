@@ -29,6 +29,7 @@ __all__ = [
     "WaltersCoefficients",
     "coeffs_from_eta",
     "eta_from_coeffs",
+    "InputTooShort",
     "renorm1_apply",
     "renorm1_fixed_point",
     "renorm2_apply",
@@ -98,13 +99,21 @@ def eta_from_coeffs(coeffs: WaltersCoefficients) -> EtaSequence:
     return EtaSequence(values)
 
 
+class InputTooShort(ValueError):
+    """The input ends before a_required, the last index (Ra)_2 reads."""
+
+    def __init__(self, required: int):
+        super().__init__(f"input too short: a_{required} required for (Ra)_2")
+        self.required = required
+
+
 def _offset_apply(coeffs: WaltersCoefficients, k: int, offsets) -> WaltersCoefficients:
     """(Ra)_n = sum of a_{k n - c} over c in ``offsets``, added in the order
     given, for n = 2 up to the last n whose every index the input holds."""
     low = min(offsets)
     n_top = (coeffs.n_max + low) // k
     if n_top < 2:
-        raise ValueError(f"input too short: a_{2 * k - low} required for (Ra)_2")
+        raise InputTooShort(2 * k - low)
     ns = np.arange(2, n_top + 1)
     out = np.zeros(ns.size)
     for c in offsets:

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import runshift
+import runshift.cantor
 from runshift import (
     CantorMeasure,
     DigitSystem,
@@ -12,7 +19,7 @@ from runshift import (
     quadrature_values,
     self_similarity_check,
 )
-from runshift.cantor import U, _mc_blocks, error_bound
+from runshift.cantor import _MC_AHEAD, _MC_CHUNK, _MC_DRAW, U, _mc_blocks, error_bound
 
 LOG2_LOG3 = 0.6309297535714574
 
@@ -298,6 +305,183 @@ class TestMonteCarlo:
     def test_sample_floor(self, middle_thirds):
         with pytest.raises(ValueError, match="need at least 1000 samples, got 10$"):
             monte_carlo_integral(middle_thirds, 2, 10, seed=1)
+
+
+def sequential_monte_carlo(cm, n, samples, seed):
+    """The chunk loop drawn and reduced on the calling thread alone, one chunk
+    after another: the reference the draw-ahead pipeline must match bit for bit."""
+    table, weights = _mc_blocks(cm)
+    rng = np.random.default_rng(seed)
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < samples:
+        chunk = min(samples - count, runshift.cantor._MC_CHUNK)
+        idx = rng.integers(0, table.size, size=(chunk, weights.size))
+        f = np.exp(-cm.alpha * np.log(n - table[idx] @ weights))
+        f_mean = float(np.mean(f))
+        delta = f_mean - mean
+        total = count + chunk
+        mean += delta * chunk / total
+        m2 += float(np.sum((f - f_mean) ** 2)) + delta * delta * count * chunk / total
+        count = total
+    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+
+
+class WatchedGenerator:
+    """Wraps a Generator: records the row count and thread of each ``integers``
+    call, fails if two calls overlap, and raises on call number ``fail_at``."""
+
+    def __init__(self, rng, fail_at=None):
+        self._rng, self._fail_at = rng, fail_at
+        self.calls, self._busy = [], threading.Lock()
+
+    def integers(self, *args, size, **kwargs):
+        if not self._busy.acquire(blocking=False):
+            raise AssertionError("two draws overlap")
+        try:
+            self.calls.append((size[0], threading.current_thread()))
+            if len(self.calls) == self._fail_at:
+                raise RuntimeError(f"draw {self._fail_at} failed")
+            return self._rng.integers(*args, size=size, **kwargs)
+        finally:
+            self._busy.release()
+
+
+def watch_draws(monkeypatch, fail_at=None):
+    """Make ``np.random.default_rng`` return WatchedGenerators; returns the list of them."""
+    made, default_rng = [], np.random.default_rng
+
+    def watched(seed):
+        made.append(WatchedGenerator(default_rng(seed), fail_at))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", watched)
+    return made
+
+
+class TestDrawAhead:
+    """The next chunk is drawn on a worker thread while the current one is reduced."""
+
+    @pytest.mark.parametrize("samples", [1000, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5])
+    @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (2, (0, 1))])
+    def test_bit_identical_to_sequential_loop(self, k, digits, samples):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        assert monte_carlo_integral(cm, 2, samples, 19) == sequential_monte_carlo(cm, 2, samples, 19)
+
+    @pytest.mark.parametrize("high", [2, 5**6, 3**10, 1 << 16])
+    def test_split_draw_continues_the_stream(self, high):
+        # the worker draws a chunk in parts; numpy's bounded draws keep no
+        # state between calls outside the bit generator, so parts concatenate
+        # to the one draw
+        whole = np.random.default_rng(5).integers(0, high, size=(3 * 1001, 2))
+        rng = np.random.default_rng(5)
+        parts = [rng.integers(0, high, size=(size, 2)) for size in (1000, 1, 2002)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_draws_run_in_order_one_at_a_time(self, monkeypatch, middle_thirds):
+        made = watch_draws(monkeypatch)
+        got = monte_carlo_integral(middle_thirds, 2, 3 * _MC_CHUNK + 5, seed=19)
+        sizes, threads = zip(*made[0].calls)
+        assert sizes == (_MC_CHUNK,) + (_MC_DRAW,) * (2 * _MC_CHUNK // _MC_DRAW) + (5,)
+        # the first chunk on the calling thread, the rest on one worker
+        assert threads[0] is threading.current_thread()
+        assert len(set(threads[1:])) == 1 and threads[1] is not threads[0]
+        assert got == sequential_monte_carlo(middle_thirds, 2, 3 * _MC_CHUNK + 5, seed=19)
+
+    def test_worker_runs_at_most_the_bound_ahead(self, monkeypatch, middle_thirds):
+        # a slow reduction gives the worker time to run ahead as far as it may
+        made = watch_draws(monkeypatch)
+        take, exp, gathered, lead = np.take, np.exp, [], []
+
+        def counted_take(*args, **kwargs):
+            gathered.append(None)
+            return take(*args, **kwargs)
+
+        def slow_exp(*args, **kwargs):
+            time.sleep(0.02)
+            lead.append(len(made[0].calls) - len(gathered))  # draws begun, not gathered
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted_take)
+        monkeypatch.setattr(np, "exp", slow_exp)
+        monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
+        assert lead == [_MC_AHEAD] * 3 + [0]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, middle_thirds):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(runshift.cantor.threading, "Thread", Recorded)
+        monte_carlo_integral(middle_thirds, 2, _MC_CHUNK, seed=1)
+        assert started == []
+        monte_carlo_integral(middle_thirds, 2, 3 * _MC_CHUNK, seed=1)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])  # the caller's draw, the worker's first, a later one
+    def test_draw_error_reaches_caller(self, monkeypatch, middle_thirds, fail_at):
+        before = set(threading.enumerate())
+        made = watch_draws(monkeypatch, fail_at)
+        with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
+            monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
+        assert len(made[0].calls) == fail_at  # nothing drawn after the failure
+        assert set(threading.enumerate()) == before
+
+    def test_caller_error_ends_worker(self, monkeypatch, middle_thirds):
+        # an error while a chunk is reduced, with the next draw in flight
+        before = set(threading.enumerate())
+        exp = np.exp
+        calls = []
+
+        def failing_exp(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("reduction failed")
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", failing_exp)
+        with pytest.raises(FloatingPointError, match="reduction failed"):
+            monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
+        assert set(threading.enumerate()) == before
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # small chunks make many hand-offs; four callers on two cores, switching
+        # every microsecond, must each get the sequential loop's result
+        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(runshift.cantor, "_MC_DRAW", 256)
+        cases = [(CantorMeasure(DigitSystem(k, d)), seed) for k, d in [(3, (0, 2)), (5, (0, 2, 4))]
+                 for seed in (1, 2)]
+        want = [sequential_monte_carlo(cm, 2, 40_005, seed) for cm, seed in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = monte_carlo_integral(cases[i][0], 2, 40_005, cases[i][1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # the worker is a plain threading.Thread; concurrent.futures costs an import
+        src = os.path.dirname(os.path.dirname(runshift.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, runshift, runshift.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSelfSimilarity:

@@ -470,7 +470,32 @@ class TestBadInput:
         # the library's sample floor, with the count given
         (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "500"],
          "need at least 1000 samples, got 500"),
+        # the flag, its value and the least value that works, not an internal index
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--nmax", "5"],
+         "--nmax 5 is too small: (Ra)_2 needs a_6, so --nmax must be at least 6"),
+        (["fixed-point", "--type1", "--k", "3", "--a2=-2", "--nmax", "3"],
+         "--nmax 3 is too small: (Ra)_2 needs a_5, so --nmax must be at least 5"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,least", [
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,2"], 6),
+        (["fixed-point", "--type1", "--k", "3", "--a2=-2"], 5),
+    ])
+    def test_named_least_nmax_is_the_least(self, tmp_path, argv, least):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--nmax", str(least), "--out", out]) == 0
+        assert main(argv + ["--nmax", str(least - 1), "--out", out]) == 2
+
+    def test_short_input_file_is_named(self, tmp_path, capsys):
+        # rows n=2..5 stop one short of a_6, which (Ra)_2 of (3; 0, 2) reads
+        short = tmp_path / "short.csv"
+        short.write_text("n,a\n" + "".join(f"{n},-0.5\n" for n in range(2, 6)))
+        argv = ["apply", "--type2", "--k", "3", "--digits", "0,2", "--in", str(short),
+                "--out", str(tmp_path / "y.csv")]
+        assert main(argv) == 2
+        assert f"{short}: rows n=2..5 are too few, (Ra)_2 needs a_6" in capsys.readouterr().err
+        short.write_text(short.read_text() + "6,-0.5\n")
+        assert main(argv) == 0
