@@ -142,6 +142,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only seeds of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _parse_digits(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -350,7 +358,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
     p.add_argument("--mc", type=int,
                    help="add a Monte Carlo cross-check with this many samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = command("decay", _cmd_decay, "renewal decay table with oracle correlations: "
                 "q, A, V, K, D, C_oracle, C_over_D [, C_mc, mc_stderr, eps_trunc]")
@@ -360,7 +368,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--nmax", type=_positive)
     p.add_argument("--mc-paths", type=_positive,
                    help="add Monte Carlo columns C_mc, mc_stderr, eps_trunc")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = command("inverse", _cmd_inverse,
                 "design eta realizing a target decay profile: q, d, eta, D, d_shift, rel_err")

@@ -19,7 +19,7 @@ from runshift import (
     quadrature_values,
     self_similarity_check,
 )
-from runshift.cantor import _MC_AHEAD, _MC_CHUNK, _MC_DRAW, U, _mc_blocks, error_bound
+from runshift.cantor import _MC_CHUNK, U, _mc_blocks, error_bound
 
 LOG2_LOG3 = 0.6309297535714574
 
@@ -246,20 +246,29 @@ class TestMonteCarlo:
 
     def test_streamed_moments_match_all_draws(self, middle_thirds):
         # three chunks merged by Chan's formula against one pass over the
-        # same draws, kept whole
+        # same draws, kept whole; chunk c draws from the seed's c-th child
         samples, seed, chunk = 300_000, 11, 1 << 17
         est, se = monte_carlo_integral(middle_thirds, 3, samples, seed)
-        rng = np.random.default_rng(seed)
+        children = np.random.SeedSequence(seed).spawn(3)
         # l = 2: one integer indexes the 2^16 depth-16 base points, and two
         # blocks give 32 >= ceil(40 / log2 3) = 26 digits
         table = middle_thirds.prefix_points(16)
         weights = 3.0 ** -np.array([0.0, 16.0])
         t = np.concatenate([
-            table[rng.integers(0, 1 << 16, size=(min(chunk, samples - s), 2))] @ weights
-            for s in range(0, samples, chunk)])
+            table[np.random.default_rng(child).integers(
+                0, 1 << 16, size=(min(chunk, samples - s), 2), dtype=np.uint16)] @ weights
+            for child, s in zip(children, range(0, samples, chunk))])
         f = (3.0 - t) ** -middle_thirds.alpha
         assert est == pytest.approx(f.mean(), rel=1e-14, abs=0)
         assert se == pytest.approx(f.std(ddof=1) / math.sqrt(samples), rel=1e-12, abs=0)
+
+    def test_more_points_than_a_uint16_index(self):
+        # l = 70000 > 2^16: one digit per block, indices up to 69999
+        cm = CantorMeasure(DigitSystem(70000, tuple(range(70000))))
+        table, _ = _mc_blocks(cm)
+        assert table.size == 70000
+        est, se = monte_carlo_integral(cm, 3, 2000, seed=1)
+        assert abs(est - float(quadrature_values(cm, [3])[0][0])) <= 4.0 * se
 
     @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (4, (0, 1, 3))])
     def test_block_points_are_digit_strings(self, k, digits):
@@ -308,58 +317,44 @@ class TestMonteCarlo:
 
 
 def sequential_monte_carlo(cm, n, samples, seed):
-    """The chunk loop drawn and reduced on the calling thread alone, one chunk
-    after another: the reference the draw-ahead pipeline must match bit for bit."""
+    """The chunks drawn and reduced on the calling thread alone, one after
+    another, chunk c from the stream (seed, c): the reference the two-thread
+    loop must match bit for bit."""
     table, weights = _mc_blocks(cm)
-    rng = np.random.default_rng(seed)
-    count, mean, m2 = 0, 0.0, 0.0
+    count, mean, m2, c = 0, 0.0, 0.0, 0
     while count < samples:
         chunk = min(samples - count, runshift.cantor._MC_CHUNK)
-        idx = rng.integers(0, table.size, size=(chunk, weights.size))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        idx = rng.integers(0, table.size, size=(chunk, weights.size), dtype=np.uint16)
         f = np.exp(-cm.alpha * np.log(n - table[idx] @ weights))
         f_mean = float(np.mean(f))
         delta = f_mean - mean
         total = count + chunk
         mean += delta * chunk / total
         m2 += float(np.sum((f - f_mean) ** 2)) + delta * delta * count * chunk / total
-        count = total
+        count, c = total, c + 1
     return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
-class WatchedGenerator:
-    """Wraps a Generator: records the row count and thread of each ``integers``
-    call, fails if two calls overlap, and raises on call number ``fail_at``."""
-
-    def __init__(self, rng, fail_at=None):
-        self._rng, self._fail_at = rng, fail_at
-        self.calls, self._busy = [], threading.Lock()
-
-    def integers(self, *args, size, **kwargs):
-        if not self._busy.acquire(blocking=False):
-            raise AssertionError("two draws overlap")
-        try:
-            self.calls.append((size[0], threading.current_thread()))
-            if len(self.calls) == self._fail_at:
-                raise RuntimeError(f"draw {self._fail_at} failed")
-            return self._rng.integers(*args, size=size, **kwargs)
-        finally:
-            self._busy.release()
-
-
-def watch_draws(monkeypatch, fail_at=None):
-    """Make ``np.random.default_rng`` return WatchedGenerators; returns the list of them."""
-    made, default_rng = [], np.random.default_rng
+def watch_chunks(monkeypatch, fail=None):
+    """Make ``np.random.default_rng`` record (chunk, thread) for each chunk's
+    stream and raise on chunk ``fail``; returns the record."""
+    drawn, default_rng = [], np.random.default_rng
 
     def watched(seed):
-        made.append(WatchedGenerator(default_rng(seed), fail_at))
-        return made[-1]
+        (c,) = seed.spawn_key
+        drawn.append((c, threading.current_thread()))
+        if c == fail:
+            raise RuntimeError(f"chunk {c} failed")
+        return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", watched)
-    return made
+    return drawn
 
 
 class TestDrawAhead:
-    """The next chunk is drawn on a worker thread while the current one is reduced."""
+    """The calling thread and one worker each draw and reduce every other
+    chunk, each from its own stream, and the caller merges them in order."""
 
     @pytest.mark.parametrize("samples", [1000, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5])
     @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (2, (0, 1))])
@@ -367,44 +362,40 @@ class TestDrawAhead:
         cm = CantorMeasure(DigitSystem(k, digits))
         assert monte_carlo_integral(cm, 2, samples, 19) == sequential_monte_carlo(cm, 2, samples, 19)
 
-    @pytest.mark.parametrize("high", [2, 5**6, 3**10, 1 << 16])
-    def test_split_draw_continues_the_stream(self, high):
-        # the worker draws a chunk in parts; numpy's bounded draws keep no
-        # state between calls outside the bit generator, so parts concatenate
-        # to the one draw
-        whole = np.random.default_rng(5).integers(0, high, size=(3 * 1001, 2))
-        rng = np.random.default_rng(5)
-        parts = [rng.integers(0, high, size=(size, 2)) for size in (1000, 1, 2002)]
-        assert np.array_equal(np.concatenate(parts), whole)
+    def test_chunks_alternate_between_threads(self, monkeypatch, middle_thirds):
+        want = sequential_monte_carlo(middle_thirds, 2, 4 * _MC_CHUNK + 5, seed=19)
+        drawn = watch_chunks(monkeypatch)
+        empty, allocated = np.empty, []
 
-    def test_draws_run_in_order_one_at_a_time(self, monkeypatch, middle_thirds):
-        made = watch_draws(monkeypatch)
-        got = monte_carlo_integral(middle_thirds, 2, 3 * _MC_CHUNK + 5, seed=19)
-        sizes, threads = zip(*made[0].calls)
-        assert sizes == (_MC_CHUNK,) + (_MC_DRAW,) * (2 * _MC_CHUNK // _MC_DRAW) + (5,)
-        # the first chunk on the calling thread, the rest on one worker
-        assert threads[0] is threading.current_thread()
-        assert len(set(threads[1:])) == 1 and threads[1] is not threads[0]
-        assert got == sequential_monte_carlo(middle_thirds, 2, 3 * _MC_CHUNK + 5, seed=19)
+        def recorded_empty(*args, **kwargs):
+            if len(args) == 1 and not kwargs:  # float buffers; the draws ask for an int dtype
+                allocated.append(threading.current_thread())
+            return empty(*args, **kwargs)
 
-    def test_worker_runs_at_most_the_bound_ahead(self, monkeypatch, middle_thirds):
-        # a slow reduction gives the worker time to run ahead as far as it may
-        made = watch_draws(monkeypatch)
-        take, exp, gathered, lead = np.take, np.exp, [], []
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        assert monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK + 5, seed=19) == want
+        chunks, threads = zip(*sorted(drawn, key=lambda d: d[0]))
+        assert chunks == (0, 1, 2, 3, 4)
+        # even chunks on the calling thread, odd ones on one worker
+        assert set(threads[::2]) == {threading.current_thread()}
+        assert len(set(threads[1::2])) == 1 and threads[1] is not threads[0]
+        # both threads' buffers come from the calling thread
+        assert allocated and set(allocated) == {threading.current_thread()}
 
-        def counted_take(*args, **kwargs):
-            gathered.append(None)
-            return take(*args, **kwargs)
+    @pytest.mark.parametrize("on_caller", [True, False])
+    def test_estimate_does_not_depend_on_timing(self, monkeypatch, middle_thirds, on_caller):
+        # one thread slowed, so the other finishes its chunks first
+        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
+        want = sequential_monte_carlo(middle_thirds, 2, 8005, seed=3)
+        exp, caller = np.exp, threading.current_thread()
 
         def slow_exp(*args, **kwargs):
-            time.sleep(0.02)
-            lead.append(len(made[0].calls) - len(gathered))  # draws begun, not gathered
+            if (threading.current_thread() is caller) == on_caller:
+                time.sleep(0.005)
             return exp(*args, **kwargs)
 
-        monkeypatch.setattr(np, "take", counted_take)
         monkeypatch.setattr(np, "exp", slow_exp)
-        monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
-        assert lead == [_MC_AHEAD] * 3 + [0]
+        assert monte_carlo_integral(middle_thirds, 2, 8005, seed=3) == want
 
     def test_one_chunk_starts_no_thread(self, monkeypatch, middle_thirds):
         started = []
@@ -420,37 +411,42 @@ class TestDrawAhead:
         monte_carlo_integral(middle_thirds, 2, 3 * _MC_CHUNK, seed=1)
         assert len(started) == 1 and not started[0].is_alive()
 
-    @pytest.mark.parametrize("fail_at", [1, 2, 3])  # the caller's draw, the worker's first, a later one
+    # the caller's first chunk, the worker's first, the caller's second, the worker's second
+    @pytest.mark.parametrize("fail_at", [0, 1, 2, 3])
     def test_draw_error_reaches_caller(self, monkeypatch, middle_thirds, fail_at):
         before = set(threading.enumerate())
-        made = watch_draws(monkeypatch, fail_at)
-        with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
+        drawn = watch_chunks(monkeypatch, fail_at)
+        with pytest.raises(RuntimeError, match=f"chunk {fail_at} failed"):
             monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
-        assert len(made[0].calls) == fail_at  # nothing drawn after the failure
+        # the failing thread draws nothing after the failure
+        failed_on = dict(drawn)[fail_at]
+        assert max(c for c, thread in drawn if thread is failed_on) == fail_at
         assert set(threading.enumerate()) == before
 
     def test_caller_error_ends_worker(self, monkeypatch, middle_thirds):
-        # an error while a chunk is reduced, with the next draw in flight
+        # the caller fails in its first chunk while the worker, slowed,
+        # reduces its first: the worker stops after at most one more chunk
+        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
         before = set(threading.enumerate())
-        exp = np.exp
-        calls = []
+        drawn = watch_chunks(monkeypatch)
+        exp, caller = np.exp, threading.current_thread()
 
         def failing_exp(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
+            if threading.current_thread() is caller:
                 raise FloatingPointError("reduction failed")
+            time.sleep(0.05)
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", failing_exp)
         with pytest.raises(FloatingPointError, match="reduction failed"):
-            monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
+            monte_carlo_integral(middle_thirds, 2, 16_000, seed=1)
+        assert len([c for c, _ in drawn if c % 2]) <= 2
         assert set(threading.enumerate()) == before
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # small chunks make many hand-offs; four callers on two cores, switching
-        # every microsecond, must each get the sequential loop's result
+        # small chunks make many chunks per call; four callers on two cores,
+        # switching every microsecond, must each get the sequential loop's result
         monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
-        monkeypatch.setattr(runshift.cantor, "_MC_DRAW", 256)
         cases = [(CantorMeasure(DigitSystem(k, d)), seed) for k, d in [(3, (0, 2)), (5, (0, 2, 4))]
                  for seed in (1, 2)]
         want = [sequential_monte_carlo(cm, 2, 40_005, seed) for cm, seed in cases]

@@ -190,6 +190,16 @@ class TestIntegrate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_identical_rerun_across_chunks(self, tmp_path, fmt):
+        # three chunks of samples, so the worker thread reduces one of them
+        args = ["integrate", "--k", "3", "--digits", "0,2", "--n", "3",
+                "--mc", "300000", "--seed", "13", "--out-format", fmt]
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "i.json"
         rc = main(["integrate", "--k", "3", "--digits", "0,1,2", "--n", "2",
@@ -475,6 +485,11 @@ class TestBadInput:
          "--nmax 5 is too small: (Ra)_2 needs a_6, so --nmax must be at least 6"),
         (["fixed-point", "--type1", "--k", "3", "--a2=-2", "--nmax", "3"],
          "--nmax 3 is too small: (Ra)_2 needs a_5, so --nmax must be at least 5"),
+        # numpy's seeds are non-negative; the flag is named, not numpy's message
+        (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "1000", "--seed", "-1"],
+         "argument --seed: must be at least 0, got -1"),
+        (["decay", "--family", "power:3", "--qmax", "16", "--oracle-trunc", "100",
+          "--mc-paths", "10", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
