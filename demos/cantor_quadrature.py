@@ -52,11 +52,12 @@ def main():
         print(f"  n = {n:>2}: deviation {dev:.3e}  allowance {allowance:.3e}")
         _require(dev <= allowance, f"the identity at n = {n} deviates past its allowance")
 
-    print("\nMonte Carlo cross-check (one million digit strings):")
+    print("\nMonte Carlo cross-check (61 passes over the 2^14 depth-14 cylinders):")
     est, se = monte_carlo_integral(cm, 2, 1_000_000, seed=7)
-    print(f"exact {exact:.8f}   MC {est:.8f} +- {se:.1e}   "
+    print(f"exact {exact:.12f}   MC {est:.12f} +- {se:.1e}   "
           f"gap/sigma = {abs(est - exact) / se:.2f}")
-    _require(abs(est - exact) <= 4.0 * se, "the Monte Carlo estimate is more than 4 stderr off")
+    _require(abs(est - exact) <= exact_bound + 4.0 * se,
+             "the Monte Carlo estimate is more than 4 stderr off")
 
     print("\n== large-n behavior: n^alpha I(n) -> 1 ==")
     for n in (10, 100, 1000):

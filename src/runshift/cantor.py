@@ -25,18 +25,17 @@ Horner over all n at once.  ``quadrature_values`` is the one evaluation;
 its bound adds the series' tail and an a-priori rounding bound to the
 midpoint rule's error.  ``prefix_points`` enumerates the cylinder base
 points directly, the independent reference for the series, and a Monte
-Carlo integrator cross-checks both from random digit strings, drawn one
-integer per block of g digits that indexes ``prefix_points(g)``.  Each
-chunk of samples draws from its own child stream of the seed, so the
-calling thread and one worker thread each draw and reduce every other
-chunk, and the caller merges them in chunk order.  One check,
+Carlo integrator cross-checks both from digit strings made of blocks of
+g digits, each a base point of ``prefix_points(g)``.  As nu gives every
+depth-g cylinder the same mass, every pass over the table takes each top
+block once, and the lower blocks are the same table cyclically shifted
+by a random offset, one per pass and block.  One check,
 ``_check_kernel``, rejects n outside the kernel's domain.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,101 +260,73 @@ def quadrature_values(
     return scale * value, bounds
 
 
-_MC_CHUNK = 1 << 17  # samples reduced at once
 _MC_BLOCK = 1 << 16  # most base points in one block's table
+_MC_PASSES = 32  # fewest passes, so that their spread is an honest error
+_MC_SLICE = 1 << 14  # points evaluated at once, to stay in cache
 
 
-def _mc_blocks(cm: CantorMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix_points(g), k^(-g b) for b < B), g >= 1 the largest with l^g <= _MC_BLOCK
-    and B blocks of g digits covering the ceil(40 / log2 k) digits of 2^-40."""
-    g = next(g for g in range(1, 17) if cm.ds.l ** (g + 1) > _MC_BLOCK)  # l >= 2: g <= 16
-    blocks = math.ceil(math.ceil(40.0 / math.log2(cm.ds.k)) / g)
+def _mc_blocks(cm: CantorMeasure, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix_points(g), k^(-g b) for b < B): g >= 1 the largest with
+    l^g <= min(_MC_BLOCK, samples // _MC_PASSES), or 1, and B blocks of g
+    digits covering the ceil(53 / log2 k) digits of 2^-53."""
+    l, per_pass = cm.ds.l, samples // _MC_PASSES
+    if l > per_pass:
+        raise ValueError(f"need at least {_MC_PASSES * l} samples for {_MC_PASSES} passes "
+                         f"over the l = {l} digits, got {samples}")
+    g = 1
+    while l ** (g + 1) <= min(_MC_BLOCK, per_pass):
+        g += 1
+    blocks = math.ceil(math.ceil(53.0 / math.log2(cm.ds.k)) / g)
     return cm.prefix_points(g), cm.ds.k ** (-g * np.arange(blocks, dtype=float))
-
-
-def _mc_chunk(table, weights, n, alpha, seed, c, rows, values) -> tuple[float, float]:
-    """(mean, sum of squared deviations) of (n - t)^-alpha over the len(values)
-    points of chunk c, whose indices come from the stream (seed, c).
-
-    The indices are drawn as the smallest unsigned type that holds
-    table.size - 1; ``rows`` and ``values`` are overwritten.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-    idx = rng.integers(0, table.size, size=rows.shape, dtype=np.min_scalar_type(table.size - 1))
-    # clip gathers table[idx] without a bounds check: every index is in range
-    np.take(table, idx, out=rows, mode="clip")
-    f = np.matmul(rows, weights, out=values)
-    np.subtract(n, f, out=f)
-    np.log(f, out=f)
-    np.multiply(-alpha, f, out=f)
-    np.exp(f, out=f)  # (n - t)^-alpha
-    f_mean = float(np.mean(f))
-    np.subtract(f, f_mean, out=f)
-    np.square(f, out=f)
-    return f_mean, float(np.sum(f))
 
 
 def monte_carlo_integral(
     cm: CantorMeasure, n: int, samples: int, seed: int
 ) -> tuple[float, float]:
-    """Independent Monte Carlo estimate of I(n) from random digit strings.
+    """Independent Monte Carlo estimate of I(n) from digit strings.
 
-    Draws i.i.d. points of K with uniformly random digits to resolution at
-    least 2^-40, B uniform blocks of g digits each: one integer per block
-    indexes the l^g base points of ``prefix_points(g)``, scaled by k^(-g b)
-    for block b.  Returns (estimate, standard error), the same for a fixed
-    seed.
-
-    The samples come in chunks of ``_MC_CHUNK``, and chunk c draws from its
-    own stream, ``SeedSequence(seed, spawn_key=(c,))``, the c-th child of
-    ``SeedSequence(seed).spawn``.  The calling thread reduces the even
-    chunks and one worker thread the odd ones, each to its count, mean and
-    sum of squared deviations; the caller merges them in chunk order
-    (Chan, Golub and LeVeque 1979), so the estimates do not depend on the
-    threads' timing.  A one-chunk call starts no thread, and an exception
-    on the worker is raised on the caller.
+    A string is B blocks of g digits, B g >= ceil(53 / log2 k), so that it
+    resolves 2^-53; block b takes a base point of ``prefix_points(g)``,
+    whose S = l^g entries have mass l^-g each, scaled by k^(-g b).  Each of
+    the P = samples // S passes (at least 32) evaluates every top block
+    once, so the top block is stratified.  For each pass and each lower
+    block one offset r is drawn uniformly from [0, S) with
+    ``default_rng(seed)``, as one (P, B - 1) array, and cell j takes the
+    base point (j + r) mod S there: a randomly shifted rule (Cranley and
+    Patterson 1976), unbiased in every pass, as for a fixed cell the point
+    is uniform.  The passes are independent, so the estimate is the mean
+    of the P pass means and the standard error their spread,
+    std(ddof=1) / sqrt(P).  The same seed gives the same result.  Needs
+    at least max(1000, 32 l) samples, and runs P S <= samples of them.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     _check_kernel(cm, n)
-    table, weights = _mc_blocks(cm)
-    chunks = [min(_MC_CHUNK, samples - s) for s in range(0, samples, _MC_CHUNK)]
-    alpha, results = cm.alpha, [None] * len(chunks)
-    failed = []  # the first exception on either thread; both loops stop on it
-
-    def reduce(first, rows, values):
-        try:
-            for c in range(first, len(chunks), 2):
-                if failed:
-                    return
-                m = chunks[c]
-                results[c] = _mc_chunk(table, weights, n, alpha, seed, c, rows[:m], values[:m])
-        except BaseException as exc:  # raised on the caller below
-            failed.append(exc)
-
-    # on the calling thread: buffers made on the worker come from another
-    # malloc arena and raise the peak RSS
-    buffers = [(np.empty((m, weights.size)), np.empty(m)) for m in chunks[:2]]
-    worker = None
-    if len(chunks) > 1:
-        worker = threading.Thread(
-            target=reduce, args=(1, *buffers[1]), name="runshift-mc", daemon=True)
-        worker.start()
-    try:
-        reduce(0, *buffers[0])
-    finally:
-        if worker is not None:
-            worker.join()
-    if failed:
-        raise failed[0]
-    count, mean, m2 = 0, 0.0, 0.0
-    for chunk, (f_mean, f_m2) in zip(chunks, results):
-        delta = f_mean - mean
-        total = count + chunk
-        mean += delta * chunk / total
-        m2 += f_m2 + delta * delta * count * chunk / total
-        count = total
-    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    table, weights = _mc_blocks(cm, samples)
+    size = table.size
+    passes = samples // size
+    offsets = np.random.default_rng(seed).integers(0, size, size=(passes, weights.size - 1))
+    # block b of cell j, shifted by r, is the slice [j + r] of the scaled table stored twice
+    lower = [np.tile(table * w, 2) for w in weights[1:]]
+    rows = max(1, _MC_SLICE // size)  # whole passes evaluated together
+    f = np.empty((rows, size))
+    means = np.empty(passes)
+    for first in range(0, passes, rows):
+        stop = min(passes, first + rows)
+        batch, shifts = f[:stop - first], offsets[first:stop].tolist()
+        for lo in range(0, size, _MC_SLICE):
+            hi = min(size, lo + _MC_SLICE)
+            for x, row in zip(batch[:, lo:hi], shifts):
+                np.subtract(n, table[lo:hi], out=x)
+                for block, r in zip(lower, row):
+                    x -= block[r + lo:r + hi]
+            x = batch[:, lo:hi]  # n - t
+            np.log(x, out=x)
+            np.multiply(x, -cm.alpha, out=x)
+            np.exp(x, out=x)  # (n - t)^-alpha
+        np.sum(batch, axis=1, out=means[first:stop])
+    means /= size
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)
 
 
 def self_similarity_check(cm: CantorMeasure, n: int, depth: int) -> float:

@@ -1,16 +1,11 @@
 import math
-import os
-import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import runshift
-import runshift.cantor
 from runshift import (
     CantorMeasure,
     DigitSystem,
@@ -19,7 +14,7 @@ from runshift import (
     quadrature_values,
     self_similarity_check,
 )
-from runshift.cantor import _MC_CHUNK, U, _mc_blocks, error_bound
+from runshift.cantor import U, _mc_blocks, error_bound
 
 LOG2_LOG3 = 0.6309297535714574
 
@@ -234,64 +229,90 @@ class TestMomentSeries:
             assert np.all(np.abs(v - exact) <= b + exact_b)
 
 
+MC_SYSTEMS = [  # (k, digits, n): the four the sampler was timed on
+    (3, (0, 2), 2),
+    (3, (1, 3), 2),  # sup K = 1.5, the kernel nearest its singularity
+    (4, (1, 3), 3),
+    (2, (0, 1), 2),  # K = [0, 1] and alpha = 1
+]
+
+
 class TestMonteCarlo:
     def test_agrees_with_quadrature(self, middle_thirds):
-        value, _ = quadrature(middle_thirds, 2, depth=16)
+        value, bound = quadrature(middle_thirds, 2)
         est, se = monte_carlo_integral(middle_thirds, 2, 1_000_000, seed=7)
-        assert abs(est - value) <= 4.0 * se
+        assert abs(est - value) <= bound + 4.0 * se
 
     def test_lebesgue_log2(self, lebesgue3):
         est, se = monte_carlo_integral(lebesgue3, 2, 200_000, seed=3)
         assert abs(est - math.log(2.0)) <= 4.0 * se
 
     def test_streamed_moments_match_all_draws(self, middle_thirds):
-        # three chunks merged by Chan's formula against one pass over the
-        # same draws, kept whole; chunk c draws from the seed's c-th child
-        samples, seed, chunk = 300_000, 11, 1 << 17
+        # every pass gathered at once by index arrays against the sampler's
+        # shifted slices, evaluated a pass or a slice at a time
+        samples, seed = 300_000, 11
         est, se = monte_carlo_integral(middle_thirds, 3, samples, seed)
-        children = np.random.SeedSequence(seed).spawn(3)
-        # l = 2: one integer indexes the 2^16 depth-16 base points, and two
-        # blocks give 32 >= ceil(40 / log2 3) = 26 digits
-        table = middle_thirds.prefix_points(16)
-        weights = 3.0 ** -np.array([0.0, 16.0])
-        t = np.concatenate([
-            table[np.random.default_rng(child).integers(
-                0, 1 << 16, size=(min(chunk, samples - s), 2), dtype=np.uint16)] @ weights
-            for child, s in zip(children, range(0, samples, chunk))])
-        f = (3.0 - t) ** -middle_thirds.alpha
+        # 300000 // 32 = 9375: the 3^-13 table of 2^13 base points, 36 whole
+        # passes, and two lower blocks give 39 >= ceil(53 / log2 3) = 34 digits
+        table, size, passes = middle_thirds.prefix_points(13), 1 << 13, 36
+        shifts = np.random.default_rng(seed).integers(0, size, size=(passes, 2))
+        cells = np.arange(size)
+        x = (3.0 - table[cells]
+             - table[(cells + shifts[:, :1]) % size] * 3.0**-13
+             - table[(cells + shifts[:, 1:]) % size] * 3.0**-26)  # n - t
+        f = np.exp(-middle_thirds.alpha * np.log(x))
         assert est == pytest.approx(f.mean(), rel=1e-14, abs=0)
-        assert se == pytest.approx(f.std(ddof=1) / math.sqrt(samples), rel=1e-12, abs=0)
+        assert se == pytest.approx(f.mean(axis=1).std(ddof=1) / math.sqrt(passes), rel=1e-12, abs=0)
 
     def test_more_points_than_a_uint16_index(self):
-        # l = 70000 > 2^16: one digit per block, indices up to 69999
+        # l = 70000 > 2^16: one digit per block, and 32 passes need 32 l samples
         cm = CantorMeasure(DigitSystem(70000, tuple(range(70000))))
-        table, _ = _mc_blocks(cm)
+        table, _ = _mc_blocks(cm, 32 * 70000)
         assert table.size == 70000
-        est, se = monte_carlo_integral(cm, 3, 2000, seed=1)
-        assert abs(est - float(quadrature_values(cm, [3])[0][0])) <= 4.0 * se
+        est, se = monte_carlo_integral(cm, 3, 32 * 70000, seed=1)
+        assert abs(est - math.log(1.5)) <= 4.0 * se  # l = k: nu is Lebesgue measure
+
+    def test_fewer_than_32_passes_rejected(self):
+        cm = CantorMeasure(DigitSystem(70000, tuple(range(70000))))
+        message = "need at least 2240000 samples for 32 passes over the l = 70000 digits, got "
+        for samples in (2000, 32 * 70000 - 1):
+            with pytest.raises(ValueError, match=f"^{message}{samples}$"):
+                monte_carlo_integral(cm, 3, samples, seed=1)
 
     @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (4, (0, 1, 3))])
     def test_block_points_are_digit_strings(self, k, digits):
         cm = CantorMeasure(DigitSystem(k, digits))
-        table, weights = _mc_blocks(cm)
-        l, blocks = len(digits), weights.size
-        g = round(math.log(table.size, l))
-        assert l**g == table.size <= 1 << 16 < l ** (g + 1)
-        assert g * blocks >= math.ceil(40.0 / math.log2(k))
-        string_weights = float(k) ** -np.arange(1.0, g * blocks + 1.0)
-        for idx in np.random.default_rng(k).integers(0, table.size, size=(200, blocks)):
-            string = []
-            for b in idx.tolist():  # b's base-l digits, most significant first
-                block = []
-                for _ in range(g):
-                    b, r = divmod(b, l)
-                    block.append(digits[r])
-                string += block[::-1]
-            exact = np.array(string, dtype=float) @ string_weights
-            # both sides sum positive terms, each through at most g B + 3
-            # roundings (weights, products, additions), so each is within
-            # gamma_(g B + 3) of the exact string
-            assert abs(table[idx] @ weights - exact) <= 2 * (g * blocks + 3) * U * exact
+        for samples in (1000, 20_000, 4_000_000):
+            table, weights = _mc_blocks(cm, samples)
+            l, blocks = len(digits), weights.size
+            g = round(math.log(table.size, l))
+            assert l**g == table.size <= min(1 << 16, samples // 32) < l ** (g + 1)
+            assert g * blocks >= math.ceil(53.0 / math.log2(k))
+            string_weights = float(k) ** -np.arange(1.0, g * blocks + 1.0)
+            for idx in np.random.default_rng(k).integers(0, table.size, size=(200, blocks)):
+                string = []
+                for b in idx.tolist():  # b's base-l digits, most significant first
+                    block = []
+                    for _ in range(g):
+                        b, r = divmod(b, l)
+                        block.append(digits[r])
+                    string += block[::-1]
+                exact = np.array(string, dtype=float) @ string_weights
+                # both sides sum positive terms, each through at most g B + 3
+                # roundings (weights, products, additions), so each is within
+                # gamma_(g B + 3) of the exact string
+                assert abs(table[idx] @ weights - exact) <= 2 * (g * blocks + 3) * U * exact
+
+    @pytest.mark.parametrize("k,digits,n", MC_SYSTEMS)
+    def test_truncation_bias_at_rounding_level(self, k, digits, n):
+        # the sampled strings are cylinder base points of depth g B, which
+        # bias the estimate by at most error_bound at that depth
+        cm = CantorMeasure(DigitSystem(k, digits))
+        value, _ = quadrature(cm, n)
+        for samples in (1000, 20_000, 300_000, 4_000_000):
+            table, weights = _mc_blocks(cm, samples)
+            depth = round(math.log(table.size, cm.ds.l)) * weights.size
+            assert error_bound(cm, n, depth) <= 2.0**-50 * value, samples
 
     @pytest.mark.parametrize("k,digits,n,expected", [
         (3, (1, 3), 2, None),  # sup K = 1.5, the kernel nearest its singularity
@@ -301,10 +322,29 @@ class TestMonteCarlo:
     ])
     def test_agrees_with_exact_series(self, k, digits, n, expected):
         cm = CantorMeasure(DigitSystem(k, digits))
+        value, bound = quadrature(cm, n)
         if expected is None:
-            expected = float(quadrature_values(cm, [n])[0][0])
+            expected = value
         est, se = monte_carlo_integral(cm, n, 1_000_000, seed=2026)
-        assert abs(est - expected) <= 4.0 * se
+        assert abs(est - expected) <= bound + 4.0 * se
+
+    def test_standard_error_at_4e6_samples(self, middle_thirds):
+        # i.i.d. digit strings gave 6.2e-5 here; stratified, shifted passes 8e-11
+        _, se = monte_carlo_integral(middle_thirds, 2, 4_000_000, seed=1)
+        assert se <= 6.2e-10
+
+    def test_calibrated_over_seeds(self):
+        # |z| > 2 holds for 4.6% of a normal's draws; 12..46 of 600 is the
+        # central 99.9% of that binomial
+        outside = 0
+        for k, digits, n in MC_SYSTEMS[:3]:
+            cm = CantorMeasure(DigitSystem(k, digits))
+            value, bound = quadrature(cm, n)
+            for seed in range(200):
+                est, se = monte_carlo_integral(cm, n, 20_000, seed)
+                assert bound < 1e-3 * se
+                outside += abs(est - value) > 2.0 * se
+        assert 12 <= outside <= 46
 
     def test_seed_reproducibility(self, middle_thirds):
         a = monte_carlo_integral(middle_thirds, 5, 50_000, seed=42)
@@ -317,136 +357,37 @@ class TestMonteCarlo:
 
 
 def sequential_monte_carlo(cm, n, samples, seed):
-    """The chunks drawn and reduced on the calling thread alone, one after
-    another, chunk c from the stream (seed, c): the reference the two-thread
-    loop must match bit for bit."""
-    table, weights = _mc_blocks(cm)
-    count, mean, m2, c = 0, 0.0, 0.0, 0
-    while count < samples:
-        chunk = min(samples - count, runshift.cantor._MC_CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        idx = rng.integers(0, table.size, size=(chunk, weights.size), dtype=np.uint16)
-        f = np.exp(-cm.alpha * np.log(n - table[idx] @ weights))
-        f_mean = float(np.mean(f))
-        delta = f_mean - mean
-        total = count + chunk
-        mean += delta * chunk / total
-        m2 += float(np.sum((f - f_mean) ** 2)) + delta * delta * count * chunk / total
-        count, c = total, c + 1
-    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-
-
-def watch_chunks(monkeypatch, fail=None):
-    """Make ``np.random.default_rng`` record (chunk, thread) for each chunk's
-    stream and raise on chunk ``fail``; returns the record."""
-    drawn, default_rng = [], np.random.default_rng
-
-    def watched(seed):
-        (c,) = seed.spawn_key
-        drawn.append((c, threading.current_thread()))
-        if c == fail:
-            raise RuntimeError(f"chunk {c} failed")
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", watched)
-    return drawn
+    """Pass by pass, whole, with the lower blocks' shifted tables from
+    np.roll: the reference the sampler must match bit for bit."""
+    table, weights = _mc_blocks(cm, samples)
+    size = table.size
+    passes = samples // size
+    shifts = np.random.default_rng(seed).integers(0, size, size=(passes, weights.size - 1))
+    means = []
+    for row in shifts:
+        x = n - table
+        for w, r in zip(weights[1:], row):
+            x = x - np.roll(table, -r) * w  # cell j takes table[(j + r) mod size]
+        means.append(np.sum(np.exp(-cm.alpha * np.log(x))) / size)
+    means = np.array(means)
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)
 
 
 class TestDrawAhead:
-    """The calling thread and one worker each draw and reduce every other
-    chunk, each from its own stream, and the caller merges them in order."""
+    """The sampler against the pass-by-pass reference, called from one
+    thread and from several."""
 
-    @pytest.mark.parametrize("samples", [1000, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5])
-    @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (2, (0, 1))])
+    # counts that are and are not whole passes of the table
+    @pytest.mark.parametrize("samples", [1000, 20_000, 131_072, 131_073, 300_000, 393_221])
+    @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (3, (1, 3)), (5, (0, 2, 4)), (2, (0, 1)),
+                                          (4, (1, 3))])
     def test_bit_identical_to_sequential_loop(self, k, digits, samples):
         cm = CantorMeasure(DigitSystem(k, digits))
         assert monte_carlo_integral(cm, 2, samples, 19) == sequential_monte_carlo(cm, 2, samples, 19)
 
-    def test_chunks_alternate_between_threads(self, monkeypatch, middle_thirds):
-        want = sequential_monte_carlo(middle_thirds, 2, 4 * _MC_CHUNK + 5, seed=19)
-        drawn = watch_chunks(monkeypatch)
-        empty, allocated = np.empty, []
-
-        def recorded_empty(*args, **kwargs):
-            if len(args) == 1 and not kwargs:  # float buffers; the draws ask for an int dtype
-                allocated.append(threading.current_thread())
-            return empty(*args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", recorded_empty)
-        assert monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK + 5, seed=19) == want
-        chunks, threads = zip(*sorted(drawn, key=lambda d: d[0]))
-        assert chunks == (0, 1, 2, 3, 4)
-        # even chunks on the calling thread, odd ones on one worker
-        assert set(threads[::2]) == {threading.current_thread()}
-        assert len(set(threads[1::2])) == 1 and threads[1] is not threads[0]
-        # both threads' buffers come from the calling thread
-        assert allocated and set(allocated) == {threading.current_thread()}
-
-    @pytest.mark.parametrize("on_caller", [True, False])
-    def test_estimate_does_not_depend_on_timing(self, monkeypatch, middle_thirds, on_caller):
-        # one thread slowed, so the other finishes its chunks first
-        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
-        want = sequential_monte_carlo(middle_thirds, 2, 8005, seed=3)
-        exp, caller = np.exp, threading.current_thread()
-
-        def slow_exp(*args, **kwargs):
-            if (threading.current_thread() is caller) == on_caller:
-                time.sleep(0.005)
-            return exp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", slow_exp)
-        assert monte_carlo_integral(middle_thirds, 2, 8005, seed=3) == want
-
-    def test_one_chunk_starts_no_thread(self, monkeypatch, middle_thirds):
-        started = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(runshift.cantor.threading, "Thread", Recorded)
-        monte_carlo_integral(middle_thirds, 2, _MC_CHUNK, seed=1)
-        assert started == []
-        monte_carlo_integral(middle_thirds, 2, 3 * _MC_CHUNK, seed=1)
-        assert len(started) == 1 and not started[0].is_alive()
-
-    # the caller's first chunk, the worker's first, the caller's second, the worker's second
-    @pytest.mark.parametrize("fail_at", [0, 1, 2, 3])
-    def test_draw_error_reaches_caller(self, monkeypatch, middle_thirds, fail_at):
-        before = set(threading.enumerate())
-        drawn = watch_chunks(monkeypatch, fail_at)
-        with pytest.raises(RuntimeError, match=f"chunk {fail_at} failed"):
-            monte_carlo_integral(middle_thirds, 2, 4 * _MC_CHUNK, seed=1)
-        # the failing thread draws nothing after the failure
-        failed_on = dict(drawn)[fail_at]
-        assert max(c for c, thread in drawn if thread is failed_on) == fail_at
-        assert set(threading.enumerate()) == before
-
-    def test_caller_error_ends_worker(self, monkeypatch, middle_thirds):
-        # the caller fails in its first chunk while the worker, slowed,
-        # reduces its first: the worker stops after at most one more chunk
-        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
-        before = set(threading.enumerate())
-        drawn = watch_chunks(monkeypatch)
-        exp, caller = np.exp, threading.current_thread()
-
-        def failing_exp(*args, **kwargs):
-            if threading.current_thread() is caller:
-                raise FloatingPointError("reduction failed")
-            time.sleep(0.05)
-            return exp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", failing_exp)
-        with pytest.raises(FloatingPointError, match="reduction failed"):
-            monte_carlo_integral(middle_thirds, 2, 16_000, seed=1)
-        assert len([c for c, _ in drawn if c % 2]) <= 2
-        assert set(threading.enumerate()) == before
-
-    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # small chunks make many chunks per call; four callers on two cores,
-        # switching every microsecond, must each get the sequential loop's result
-        monkeypatch.setattr(runshift.cantor, "_MC_CHUNK", 1000)
+    def test_concurrent_calls_under_fast_switching(self):
+        # four callers on two cores, switching every microsecond, must each
+        # get the reference's result: the sampler keeps no state between calls
         cases = [(CantorMeasure(DigitSystem(k, d)), seed) for k, d in [(3, (0, 2)), (5, (0, 2, 4))]
                  for seed in (1, 2)]
         want = [sequential_monte_carlo(cm, 2, 40_005, seed) for cm, seed in cases]
@@ -467,17 +408,6 @@ class TestDrawAhead:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == want
-
-    def test_import_leaves_concurrent_futures_unloaded(self):
-        # the worker is a plain threading.Thread; concurrent.futures costs an import
-        src = os.path.dirname(os.path.dirname(runshift.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, runshift, runshift.cli; print('concurrent.futures' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
 
 
 class TestSelfSimilarity:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import runshift
-from runshift import CantorMeasure, DigitSystem, quadrature_values
+from runshift import CantorMeasure, DigitSystem, quadrature, quadrature_values
 from runshift.cli import _CHUNK, _write_table, entry, main
 
 
@@ -171,7 +171,10 @@ class TestIntegrate:
         assert rc == 0
         meta, data = read_csv(out)
         assert meta["seed"] == "7"
-        assert abs(data["mc"][0] - data["I"][0]) <= 4.0 * data["mc_stderr"][0]
+        # against the exact series, not the depth-12 column, whose own error
+        # bound (1.2e-6) is far above the standard error
+        exact, bound = quadrature(CantorMeasure(DigitSystem(3, (0, 2))), 2)
+        assert abs(data["mc"][0] - exact) <= bound + 4.0 * data["mc_stderr"][0]
 
     def test_default_is_exact(self, tmp_path):
         out = tmp_path / "i.csv"
@@ -192,13 +195,22 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_identical_rerun_across_chunks(self, tmp_path, fmt):
-        # three chunks of samples, so the worker thread reduces one of them
+        # 36 passes of 2^13 points, evaluated two passes at a time
         args = ["integrate", "--k", "3", "--digits", "0,2", "--n", "3",
                 "--mc", "300000", "--seed", "13", "--out-format", fmt]
         a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_too_few_samples_for_the_digits(self, tmp_path, capsys):
+        # l = 40 digits need 32 passes of 40 points; the floor of 1000 is not enough
+        argv = ["integrate", "--k", "40", "--digits", ",".join(map(str, range(40))), "--n", "2",
+                "--out", str(tmp_path / "i.csv"), "--mc"]
+        assert main(argv + ["1279"]) == 2
+        assert ("need at least 1280 samples for 32 passes over the l = 40 digits, got 1279"
+                in capsys.readouterr().err)
+        assert main(argv + ["1280"]) == 0
 
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "i.json"
