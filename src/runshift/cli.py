@@ -134,20 +134,18 @@ def _depth_field(depth: int | None):
     return "exact" if depth is None else depth
 
 
-def _positive(text: str) -> int:
-    """argparse type of an optional count flag, so that 0 is named, not ignored."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(least: int):
+    """argparse type of an integer flag with a least value, so that a bad value such as
+    an optional count set to 0 is rejected naming its flag, not ignored or passed on."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy takes only seeds of at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    parse.__name__ = "int"  # argparse's message for text that is no integer
+    return parse
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
@@ -276,6 +274,11 @@ def _cmd_decay(args) -> int:
             nmax = min(nmax, 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])))
     eta = make_eta(family, params, nmax)
     chain = build_chain(eta, args.oracle_trunc)
+    if nmax < args.qmax + 1:  # the renewal sweep reads T(qmax + 1)
+        if args.nmax is None:  # only geometric weights cap the default
+            raise ValueError(f"--qmax {args.qmax} needs weights up to n = {args.qmax + 1}, but "
+                             f"{args.family} weights are normal doubles only up to n = {nmax}")
+        raise ValueError(f"--qmax {args.qmax} needs --nmax at least {args.qmax + 1}, got {nmax}")
     c = correlation(chain, np.arange(1, args.qmax + 1))
     table = decay_table(eta, args.qmax, oracle_correlations=c)
     meta = {"command": "decay", "family": args.family, "qmax": args.qmax,
@@ -358,17 +361,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
     p.add_argument("--mc", type=int,
                    help="add a Monte Carlo cross-check with this many samples")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 
     p = command("decay", _cmd_decay, "renewal decay table with oracle correlations: "
                 "q, A, V, K, D, C_oracle, C_over_D [, C_mc, mc_stderr, eps_trunc]")
     p.add_argument("--family", required=True)
-    p.add_argument("--qmax", type=int, default=256)
-    p.add_argument("--oracle-trunc", type=int, default=10000)
-    p.add_argument("--nmax", type=_positive)
-    p.add_argument("--mc-paths", type=_positive,
+    p.add_argument("--qmax", type=_at_least(1), default=256)
+    p.add_argument("--oracle-trunc", type=_at_least(2), default=10000)  # build_chain needs M >= 2
+    p.add_argument("--nmax", type=_at_least(1))
+    p.add_argument("--mc-paths", type=_at_least(1),
                    help="add Monte Carlo columns C_mc, mc_stderr, eps_trunc")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 
     p = command("inverse", _cmd_inverse,
                 "design eta realizing a target decay profile: q, d, eta, D, d_shift, rel_err")

@@ -101,32 +101,56 @@ def iterates_from_run(
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
     tails = t[s : s + qmax] / ts  # T(s+q)/T(s), q = 1..qmax
     comp = np.concatenate(([0.0], 0.5 + series.deficits[: qmax - 1]))  # 1 - A_i; no A_0 term
-    return np.convolve(ratios, comp)[:qmax] + tails
+    return _causal_convolve(ratios, comp, qmax) + tails
 
 
-_BLOCK = 32  # lags solved per numpy call in _lagged_solve
+_BLOCK = 32  # lags per numpy call in _lagged_solve and _causal_convolve
 
 
 def _lagged_solve(p: np.ndarray, f: np.ndarray) -> np.ndarray:
     """x_i = f_i - sum_{k=1}^{min(i, len p)} p[k-1] x_{i-k} by direct summation, accurate
-    relative to each x_i's own terms (an FFT errs by u max|x| and loses tiny late x_i).
+    relative to the terms of x_i's block (an FFT errs by u max|x| and loses tiny late x_i).
 
     Lags go _BLOCK at a time.  With c = (1, p, 0, ...), block [s, s+b) takes its far history
-    x[:s] off f[s:s+b] by one correlation with c[1:], then solves the unit lower-triangular
-    Toeplitz system of c.  Needs 0 <= p <= 1: each unit diagonal is then its column's first
-    maximum, so partial pivoting swaps no rows and the LU solve is forward substitution, the
-    per-lag sum grouped as far plus near.  n min(n, len p) flops in ~n / _BLOCK numpy calls."""
+    x[:s] off f[s:s+b] by one correlation with c[1:], giving y, then multiplies y by the
+    inverse R of the unit lower-triangular Toeplitz block of c, built once per call.  R is
+    Toeplitz as well, R[i, j] = r_{i-j}, where r_0 = 1 and r_k = -sum_{j=1}^{k} p_j r_{k-j}
+    is the renewal sequence of p; 0 <= p and sum p <= 1 give |r_k| <= 1 by induction.  So
+    x_i = sum_j r_{i-j} y_j errs by a small multiple of u sum_j |y_j| over the block's
+    earlier lags, and |y_j| is at most x_j's own terms |f_j| + sum_k p_k |x_{j-k}|: the same
+    accumulated bound as forward substitution.  n min(n, len p) flops in ~n / _BLOCK calls."""
     n, m = f.size, p.size
     c = np.concatenate(([1.0], p, np.zeros(_BLOCK)))
-    lower = np.tril(c[np.abs(np.arange(_BLOCK)[:, None] - np.arange(_BLOCK))])
+    inverse = np.linalg.inv(np.tril(c[np.abs(np.arange(_BLOCK)[:, None] - np.arange(_BLOCK))]))
     x = np.empty(n)
     for s in range(0, n, _BLOCK):
         b, lo = min(_BLOCK, n - s), max(0, s - m)
         rhs = f[s : s + b]
         if lo < s:
             rhs = rhs - np.correlate(c[1 : b + s - lo], x[lo:s][::-1], "valid")
-        x[s : s + b] = np.linalg.solve(lower[:b, :b], rhs)
+        x[s : s + b] = inverse[:b, :b] @ rhs
     return x
+
+
+def _causal_convolve(a: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """y_i = sum_{j=0}^{i} a_j v_{i-j} for i < n (a and v zero past their ends) by direct
+    summation: each y_i errs by at most ~n u sum_j |a_j v_{i-j}|, where an FFT errs by u max|y|.
+
+    A block-Toeplitz product: v cut into k blocks of b = _BLOCK forms the rows of `blocks`
+    (k, b), and block offset d adds blocks[:k-d] @ T_d.T to the output rows y[d:], with the
+    Toeplitz block T_d[r, c] = a_{db+r-c}.  One gemm per offset, n^2 / 2 multiply-adds in all."""
+    b = _BLOCK
+    k = -(-n // b)
+    padded = np.zeros((k + 1) * b)  # a_i at padded[b + i]; zeros before and after
+    padded[b : b + min(a.size, n)] = a[:n]
+    blocks = np.zeros(k * b)
+    blocks[: min(v.size, n)] = v[:n]
+    blocks = blocks.reshape(k, b)
+    y = np.zeros((k, b))
+    toeplitz_t = b + np.arange(b) - np.arange(b)[:, None]  # [c, r] -> b + r - c
+    for d in range(k):
+        y[d:] += blocks[: k - d] @ padded[d * b + toeplitz_t]
+    return y.ravel()[:n]
 
 
 def decay_table(

@@ -26,8 +26,10 @@ d_{j+1}[1] = -sum_m s_m d_j[m] and the readout become
 
 Rounding errs by ulps of the readout's terms, of order C(q) for power and
 stretched weights but r^q >> C(q) = (2r-1)^q / 4 for geometric r > 1/2.
-Only the kernel decay._lagged_solve is shared with runshift.decay; the
-coefficients, F, R and readout come from the chain's rows, never eta/W.
+The recurrence goes to decay._lagged_solve and the readout to
+decay._causal_convolve, both direct-summation kernels of runshift.decay.
+Only that arithmetic is shared, never inputs: the coefficients, F, R and
+the readout's weights come from the chain's rows, never eta/W.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _lagged_solve
+from .decay import _causal_convolve, _lagged_solve
 from .sequences import EtaSequence, GeometricTail, ToleranceError
 
 __all__ = [
@@ -135,7 +137,7 @@ def _difference_sums(chain: RenewalChain, flux: np.ndarray, alive: np.ndarray, q
     sums = np.concatenate((alive, np.zeros(n + 1)))[: n + 1]
     f = np.concatenate((flux, np.zeros(n)))[:n]
     h = _lagged_solve(pi[:n] * chain.switch_probs[:n] / pi[0], -f / pi[0])
-    sums[1:] += np.convolve(h, pi[:n])[:n]
+    sums[1:] += _causal_convolve(h, pi[:n], n)
     return sums[qs]
 
 

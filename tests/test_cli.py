@@ -502,6 +502,16 @@ class TestBadInput:
          "argument --seed: must be at least 0, got -1"),
         (["decay", "--family", "power:3", "--qmax", "16", "--oracle-trunc", "100",
           "--mc-paths", "10", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        # decay's sizes name their flags and least values, not the library's arguments
+        (["decay", "--family", "power:3", "--qmax", "0"], "argument --qmax: must be at least 1, got 0"),
+        (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "1"],
+         "argument --oracle-trunc: must be at least 2, got 1"),
+        (["decay", "--family", "power:3", "--qmax", "100", "--oracle-trunc", "50", "--nmax", "60"],
+         "--qmax 100 needs --nmax at least 101, got 60"),
+        # the default --nmax of geometric weights stops short of the underflow
+        (["decay", "--family", "geometric:0.3", "--qmax", "1000"],
+         "--qmax 1000 needs weights up to n = 1001, but geometric:0.3 weights are normal "
+         "doubles only up to n = 589"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -510,6 +520,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv,least", [
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,2"], 6),
         (["fixed-point", "--type1", "--k", "3", "--a2=-2"], 5),
+        (["decay", "--family", "power:3", "--qmax", "100", "--oracle-trunc", "50"], 101),
     ])
     def test_named_least_nmax_is_the_least(self, tmp_path, argv, least):
         out = str(tmp_path / "x.csv")

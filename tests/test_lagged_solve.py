@@ -1,9 +1,11 @@
-"""The blocked lag kernel decay._lagged_solve against a per-lag loop.
+"""The blocked kernels of runshift.decay against plain references.
 
 The loop below solves x_i = f_i - sum_{k=1}^{min(i, len p)} p[k-1] x_{i-k}
-one lag per iteration, by one dot product each.  The kernel groups the
-same terms as a far history and a near triangular solve, so both carry
-the same a-priori rounding bound.
+one lag per iteration, by one dot product each.  The kernel _lagged_solve
+groups the same terms as a far history and a product by the near block's
+inverse, so both carry the same a-priori rounding bound.  The first-n
+convolution _causal_convolve is held against numpy's full convolution
+within the rounding bound of an n-term sum.
 
 Needs the optional test packages hypothesis and mpmath (the ``test``
 extra); the module is skipped without them.
@@ -14,14 +16,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_renewal_reference import U, accumulated_error  # noqa: E402
 
 import runshift.decay  # noqa: E402
 import runshift.oracle  # noqa: E402
 from runshift import build_chain, correlation, make_eta, renewal_series  # noqa: E402
-from runshift.decay import _BLOCK, _lagged_solve  # noqa: E402
+from runshift.decay import _BLOCK, _causal_convolve, _lagged_solve  # noqa: E402
 
 
 def lagged_loop(p, f):
@@ -64,6 +66,46 @@ def test_unit_coefficients_match_loop_exactly(m):
     # keeps the diagonal, so small-integer arithmetic stays exact bit for bit
     f = np.random.default_rng(m).integers(-5, 6, 300).astype(float)
     assert np.array_equal(_lagged_solve(np.ones(m), f), lagged_loop(np.ones(m), f))
+
+
+@pytest.mark.parametrize("p", [np.full(64, 1.0 / 64),  # sum p = 1 exactly, both
+                               2.0 ** -np.minimum(np.arange(1, 54), 52)])
+def test_stochastic_coefficients_match_loop_within_accumulated_rounding(p):
+    # sum p = 1 puts the inverse block's renewal terms at their bound |r_k| <= 1
+    assert p.sum() == 1.0
+    f = np.random.default_rng(p.size).standard_normal(50 * _BLOCK + 5)
+    got, want = _lagged_solve(p, f), lagged_loop(p, f)
+    bound = accumulated_error(p, want, f, (f.size + 2) * U)
+    assert np.all(np.abs(got - want) <= 2.0 * bound)
+
+
+@st.composite
+def convolution_problem(draw):
+    """(a, v, n) with signed entries, len a and len v in 0..200 apart from n in 0..300,
+    so that both are cut and both are padded, on and off the block grid."""
+    n = draw(st.integers(0, 300))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    a = np.array(draw(st.lists(entries, max_size=200)))
+    v = np.array(draw(st.lists(entries, max_size=200)))
+    return a, v, n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(convolution_problem())
+@example((np.array([3.0]), np.array([-2.0, 5.0]), 0))
+@example((np.array([3.0, 1.0]), np.array([-2.0]), 1))
+@example((np.arange(1.0, 70.0), -np.arange(1.0, 90.0), 3 * _BLOCK))
+def test_causal_convolve_within_summation_rounding(problem):
+    a, v, n = problem
+    got = _causal_convolve(a, v, n)
+    assert got.shape == (n,)
+    if a.size == 0 or v.size == 0:
+        assert np.array_equal(got, np.zeros(n))
+        return
+    want = np.concatenate((np.convolve(a, v), np.zeros(n)))[:n]
+    # got and want each sum at most n products in their own order
+    terms = np.concatenate((np.convolve(np.abs(a), np.abs(v)), np.zeros(n)))[:n]
+    assert np.all(np.abs(got - want) <= 2.0 * (n + 2) * U * terms)
 
 
 def test_readme_decay_example_matches_loop(monkeypatch):
