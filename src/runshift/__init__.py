@@ -39,10 +39,8 @@ from .oracle import (
     RenewalChain,
     build_chain,
     correlation,
-    cylinder_probability,
     occupation_sweep,
     sample_paths,
-    stationarity_defect,
 )
 from .potential import (
     ALL_ONES,

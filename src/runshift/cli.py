@@ -340,7 +340,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("eta", _cmd_eta, "tabulate a weight family: n, eta, T, a")
     p.add_argument("--family", required=True, help="power:G | stretched:T | geometric:R")
-    p.add_argument("--nmax", type=int, default=10000)
+    p.add_argument("--nmax", type=_at_least(8), default=10000)
 
     p = command("fixed-point", _cmd_fixed_point, "renormalization fixed point: n, a, Ra, residual")
     operator_flags(p)
@@ -348,7 +348,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--depth", type=int,
                    help="midpoint-rule depth (type 2; default: the exact series)")
     p.add_argument("--b", type=float, default=0.0, help="free switch-cylinder value")
-    p.add_argument("--nmax", type=int, default=1000)
+    p.add_argument("--nmax", type=_at_least(2), default=1000)
 
     p = command("apply", _cmd_apply, "apply a renormalization operator to a table: n, a")
     operator_flags(p)
@@ -376,7 +376,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = command("inverse", _cmd_inverse,
                 "design eta realizing a target decay profile: q, d, eta, D, d_shift, rel_err")
     p.add_argument("--target", required=True, help="power:P | geometric:R | stretched:T")
-    p.add_argument("--qmax", type=int, default=1000)
+    p.add_argument("--qmax", type=_at_least(2), default=1000)
 
     return parser, sub.choices
 

@@ -86,8 +86,12 @@ def iterates_from_run(
 ) -> np.ndarray:
     """B^s_q for q = 1..qmax: transfer iterates at a leading run of length s.
 
-    Reduces to the plain iterates at s = 1.
+    Reduces to the plain iterates at s = 1.  A given ``series`` must come from
+    ``renewal_series(eta, ...)`` for this very eta object; one reaching lag
+    qmax - 1 is reused, a shorter one is recomputed.
     """
+    if series is not None and series.eta is not eta:
+        raise ValueError("series was built from another eta sequence")
     if s < 1:
         raise ValueError("run length s must be at least 1")
     if qmax < 1:

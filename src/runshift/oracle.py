@@ -41,17 +41,7 @@ import numpy as np
 from .decay import _causal_convolve, _lagged_solve
 from .sequences import EtaSequence, GeometricTail, ToleranceError
 
-__all__ = [
-    "RenewalChain",
-    "build_chain",
-    "step",
-    "correlation",
-    "occupation_sweep",
-    "cylinder_probability",
-    "sample_paths",
-    "stationarity_defect",
-    "dense_transition",
-]
+__all__ = ["RenewalChain", "build_chain", "correlation", "occupation_sweep", "sample_paths"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +50,9 @@ class RenewalChain:
 
     ``continue_probs[m-1]`` and ``switch_probs[m-1]`` give the two branch
     probabilities out of run length m (identical for both symbols); the
-    final row is a forced switch.  ``stationary`` has shape (2, M) with
-    stationary[s, m-1] = T(m) / (2 sum_{j<=M} T(j)).
+    final row is a forced switch.  ``stationary`` has shape (M,) with
+    stationary[m-1] = T(m) / (2 sum_{j<=M} T(j)), the stationary mass of
+    (s, m) for either symbol s.
     """
 
     M: int
@@ -86,18 +77,7 @@ def build_chain(eta: EtaSequence, M: int) -> RenewalChain:
         t = eta.tail_grid()[:M]
     else:  # geometric: T(m) = T(1) ratio^(m-1), exact at any m
         t = eta.tail(1) * eta.tail_model.ratio ** np.arange(M)
-    row = t / (2.0 * t.sum())
-    return RenewalChain(M, cont, sw, np.vstack([row, row]), eps)
-
-
-def step(chain: RenewalChain, u: np.ndarray) -> np.ndarray:
-    """One application of the transition operator to a mass vector (2, M)."""
-    out = np.zeros_like(u)
-    out[:, 1:] = u[:, :-1] * chain.continue_probs[:-1]
-    flipped = u @ chain.switch_probs
-    out[0, 0] = flipped[1]
-    out[1, 0] = flipped[0]
-    return out
+    return RenewalChain(M, cont, sw, t / (2.0 * t.sum()), eps)
 
 
 def correlation(chain: RenewalChain, qs) -> np.ndarray:
@@ -107,9 +87,9 @@ def correlation(chain: RenewalChain, qs) -> np.ndarray:
     j switch at their inflow rate F(j) = pi(j+1); cost O(q min(q, M)),
     C(0) = 1/4, truncation bias <= 2 * eps_trunc.  Scalar in, scalar out.
     """
-    pi = chain.stationary[0]
+    pi = chain.stationary
     out = 0.5 * _difference_sums(chain, pi, np.cumsum(pi[::-1])[::-1], qs)
-    return float(out[0]) if np.isscalar(qs) else out
+    return float(out[0]) if np.ndim(qs) == 0 else out
 
 
 def occupation_sweep(chain: RenewalChain, start: tuple[int, int], qs) -> np.ndarray:
@@ -133,26 +113,12 @@ def _difference_sums(chain: RenewalChain, flux: np.ndarray, alive: np.ndarray, q
     if np.any(qs < 0):
         raise ValueError("lags must be nonnegative")
     n = max(int(qs.max(initial=0)), 1)
-    pi = chain.stationary[0]
+    pi = chain.stationary
     sums = np.concatenate((alive, np.zeros(n + 1)))[: n + 1]
     f = np.concatenate((flux, np.zeros(n)))[:n]
     h = _lagged_solve(pi[:n] * chain.switch_probs[:n] / pi[0], -f / pi[0])
     sums[1:] += _causal_convolve(h, pi[:n], n)
     return sums[qs]
-
-
-def cylinder_probability(chain: RenewalChain, q: int) -> float:
-    """Stationary probability of q consecutive zeros,
-    sum_{m>=q} T(m) / (2 sum_{j<=M} T(j)), from the chain's own stationary
-    law (which covers every m <= M, also past the sequence's n_max)."""
-    if not 1 <= q <= chain.M:
-        raise ValueError(f"need 1 <= q <= M={chain.M}")
-    return float(chain.stationary[0, q - 1 :].sum())
-
-
-def stationarity_defect(chain: RenewalChain) -> float:
-    """max |pi P - pi|: zero up to rounding by construction."""
-    return float(np.abs(step(chain, chain.stationary) - chain.stationary).max())
 
 
 def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> dict:
@@ -167,7 +133,7 @@ def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> d
         raise ValueError(f"n_paths must be at least 2 for a standard error, got {n_paths}")
     rng = np.random.default_rng(seed)
     sym = rng.integers(0, 2, size=n_paths)
-    m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary[0]) + 1
+    m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary) + 1
     zeros = np.empty((length + 1, n_paths), dtype=bool)
     zeros[0] = sym == 0
     for t in range(1, length + 1):
@@ -178,17 +144,3 @@ def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> d
     hits = np.logical_and(zeros, zeros[0], out=zeros).mean(axis=1)  # x_0 = 0 and x_q = 0
     return {"q": np.arange(length + 1), "estimate": hits - 0.25,
             "stderr": np.sqrt(hits * (1.0 - hits) / (n_paths - 1))}
-
-
-def dense_transition(chain: RenewalChain) -> np.ndarray:
-    """The full (2M, 2M) transition matrix, for small-M verification work.
-
-    State (s, m) maps to row/column index s * M + (m - 1).
-    """
-    M = chain.M
-    P = np.zeros((2 * M, 2 * M))
-    for s in (0, 1):
-        rows = s * M + np.arange(M)
-        P[rows[:-1], rows[1:]] = chain.continue_probs[:-1]
-        P[rows, (1 - s) * M] = chain.switch_probs
-    return P

@@ -512,6 +512,13 @@ class TestBadInput:
         (["decay", "--family", "geometric:0.3", "--qmax", "1000"],
          "--qmax 1000 needs weights up to n = 1001, but geometric:0.3 weights are normal "
          "doubles only up to n = 589"),
+        # the other subcommands' sizes name their flags too
+        (["inverse", "--target", "power:2", "--qmax", "1"],
+         "argument --qmax: must be at least 2, got 1"),
+        (["eta", "--family", "power:3", "--nmax", "7"],
+         "argument --nmax: must be at least 8, got 7"),
+        (["fixed-point", "--type1", "--k", "2", "--a2=-0.5", "--nmax", "1"],
+         "argument --nmax: must be at least 2, got 1"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -78,6 +78,12 @@ class TestIteratesFromRun:
         b = iterates_from_run(power3, 1, 64, series=ser)
         assert np.max(np.abs(b - ser.iterates)) < 1e-14
 
+    def test_series_of_another_sequence_rejected(self, power3):
+        # a power:2.5 series would silently give 0.684 at q = 2 instead of 0.756
+        other = make_eta("power", {"gamma": 2.5}, power3.n_max)
+        with pytest.raises(ValueError, match="another eta sequence"):
+            iterates_from_run(power3, 1, 8, series=renewal_series(other, 64))
+
     def test_first_step_is_continue_probability(self, power3):
         for s in (1, 3, 9):
             b = iterates_from_run(power3, s, 4)

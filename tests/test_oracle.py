@@ -4,16 +4,53 @@ import pytest
 from runshift import (
     build_chain,
     correlation,
-    cylinder_probability,
     equilibrium_cylinder,
     iterates_from_run,
     make_eta,
     occupation_sweep,
     renewal_series,
     sample_paths,
-    stationarity_defect,
 )
-from runshift.oracle import dense_transition, step
+
+
+def stationary_mass(chain):
+    """The stationary law as a (2, M) mass vector, one row per symbol."""
+    return np.vstack([chain.stationary, chain.stationary])
+
+
+def step(chain, u):
+    """One application of the transition operator to a mass vector (2, M)."""
+    out = np.zeros_like(u)
+    out[:, 1:] = u[:, :-1] * chain.continue_probs[:-1]
+    flipped = u @ chain.switch_probs
+    out[0, 0] = flipped[1]
+    out[1, 0] = flipped[0]
+    return out
+
+
+def dense_transition(chain):
+    """The full (2M, 2M) transition matrix; state (s, m) is index s * M + (m - 1)."""
+    M = chain.M
+    P = np.zeros((2 * M, 2 * M))
+    for s in (0, 1):
+        rows = s * M + np.arange(M)
+        P[rows[:-1], rows[1:]] = chain.continue_probs[:-1]
+        P[rows, (1 - s) * M] = chain.switch_probs
+    return P
+
+
+def stationarity_defect(chain):
+    """max |pi P - pi|: zero up to rounding by construction."""
+    pi = stationary_mass(chain)
+    return float(np.abs(step(chain, pi) - pi).max())
+
+
+def cylinder_probability(chain, q):
+    """Stationary probability of q consecutive zeros,
+    sum_{m>=q} T(m) / (2 sum_{j<=M} T(j)), from the chain's own stationary
+    law (which covers every m <= M, also past the sequence's n_max)."""
+    assert 1 <= q <= chain.M
+    return float(chain.stationary[q - 1 :].sum())
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +72,8 @@ class TestBuildChain:
     def test_stationary_is_tail_profile(self, power3_chain, power3):
         t = power3.tail_grid()[:10_000]
         expected = t / (2.0 * t.sum())
-        assert np.allclose(power3_chain.stationary[0], expected, rtol=1e-14)
-        assert power3_chain.stationary[0].sum() == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(power3_chain.stationary, expected, rtol=1e-14)
+        assert power3_chain.stationary.sum() == pytest.approx(0.5, abs=1e-12)
 
     def test_stationarity_defect(self, power3_chain):
         assert stationarity_defect(power3_chain) < 1e-12
@@ -59,6 +96,9 @@ class TestCorrelation:
         assert np.array_equal(correlation(power3_chain, range(1, 9)), want)
         assert np.array_equal(correlation(power3_chain, list(range(1, 9))), want)
         assert correlation(power3_chain, 8) == pytest.approx(want[-1], rel=1e-14)
+        # a 0-d array is a scalar lag too
+        got = correlation(power3_chain, np.array(8))
+        assert isinstance(got, float) and got == correlation(power3_chain, 8)
 
     def test_bounded_by_quarter(self, power3_chain):
         c = correlation(power3_chain, [1, 2, 5, 50])
@@ -76,7 +116,7 @@ class TestCorrelation:
         chain = build_chain(power3, 128)
         M = chain.M
         P = dense_transition(chain)
-        pi = chain.stationary.reshape(-1)
+        pi = stationary_mass(chain).reshape(-1)
         rev = (P * pi[:, None]).T / pi[:, None]
         assert np.max(np.abs(rev.sum(axis=1) - 1.0)) < 1e-12
         ind0 = np.zeros(2 * M)
@@ -121,7 +161,7 @@ class TestAgainstStep:
     """The recurrence against repeated application of the chain itself.
 
     Lags run to 3M so the forced switch at M is exercised; the references
-    use ``step`` alone and nothing of the shared lag kernel."""
+    use the test-local ``step`` alone and nothing of the shared lag kernel."""
 
     @pytest.mark.parametrize("family,key,param", [
         ("power", "gamma", 3.0), ("stretched", "theta", 0.5), ("geometric", "ratio", 0.8)])
@@ -129,7 +169,7 @@ class TestAgainstStep:
     def test_matches_repeated_step(self, family, key, param, M):
         chain = build_chain(make_eta(family, {key: param}, 2000), M)
         qs = np.arange(1, 3 * M + 1)
-        u = chain.stationary.copy()
+        u = stationary_mass(chain)
         u[1, :] = 0.0
         want = []
         for _ in qs:
@@ -210,7 +250,7 @@ class TestSamplePaths:
 
 class TestStep:
     def test_mass_conserved(self, power3_chain):
-        u = power3_chain.stationary.copy()
+        u = stationary_mass(power3_chain)
         for _ in range(5):
             u = step(power3_chain, u)
             assert u.sum() == pytest.approx(1.0, abs=1e-14)

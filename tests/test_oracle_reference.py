@@ -19,7 +19,7 @@ def difference_reference(chain, lags):
     with mpmath.workdps(40):
         c = [mpmath.mpf(float(x)) for x in chain.continue_probs[:-1]]
         s = [mpmath.mpf(float(x)) for x in chain.switch_probs]
-        d = [mpmath.mpf(float(x)) for x in chain.stationary[0]]
+        d = [mpmath.mpf(float(x)) for x in chain.stationary]
         out = []
         for _ in range(lags):
             d = [-mpmath.fdot(s, d)] + [cm * dm for cm, dm in zip(c, d)]
