@@ -39,7 +39,7 @@ def main():
     qs = np.arange(1, 65)
     gap = np.max(np.abs(ser.iterates - occupation_sweep(chain, (0, 1), qs)))
     print(f"iterates A_q vs chain, q <= 64: max gap {gap:.2e}")
-    b = iterates_from_run(eta, 4, 64, series=ser)
+    b = iterates_from_run(eta, 4, 64)
     gap_b = np.max(np.abs(b - occupation_sweep(chain, (0, 4), qs)))
     print(f"iterates from run 4 vs chain:  max gap {gap_b:.2e}")
 

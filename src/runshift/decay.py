@@ -52,9 +52,6 @@ class RenewalSeries:
     forcing[q-1] = K_q, iterates[q-1] = A_q, deficits[q-1] = V_q.
     """
 
-    eta: EtaSequence
-    qmax: int
-    w: float
     jump_probs: np.ndarray
     tail_terms: np.ndarray
     forcing: np.ndarray
@@ -78,33 +75,26 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
     tail_terms = t[1 : qmax + 1] / w
     forcing = 0.5 * t[:qmax] / w - tail_terms
     deficits = _lagged_solve(p, forcing)
-    return RenewalSeries(eta, qmax, w, p, tail_terms, forcing, 0.5 - deficits, deficits)
+    return RenewalSeries(p, tail_terms, forcing, 0.5 - deficits, deficits)
 
 
-def iterates_from_run(
-    eta: EtaSequence, s: int, qmax: int, series: RenewalSeries | None = None
-) -> np.ndarray:
+def iterates_from_run(eta: EtaSequence, s: int, qmax: int) -> np.ndarray:
     """B^s_q for q = 1..qmax: transfer iterates at a leading run of length s.
 
-    Reduces to the plain iterates at s = 1.  A given ``series`` must come from
-    ``renewal_series(eta, ...)`` for this very eta object; one reaching lag
-    qmax - 1 is reused, a shorter one is recomputed.
+    Reduces to the plain iterates at s = 1; V is solved afresh on each call.
     """
-    if series is not None and series.eta is not eta:
-        raise ValueError("series was built from another eta sequence")
     if s < 1:
         raise ValueError("run length s must be at least 1")
     if qmax < 1:
         raise ValueError(f"qmax must be at least 1, got {qmax}")
     if s + qmax > eta.n_max + 1:
         raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
-    if series is None or series.qmax < qmax - 1:
-        series = renewal_series(eta, max(qmax - 1, 1))
+    deficits = renewal_series(eta, max(qmax - 1, 1)).deficits
     t = eta.tail_grid()
     ts = t[s - 1]
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
     tails = t[s : s + qmax] / ts  # T(s+q)/T(s), q = 1..qmax
-    comp = np.concatenate(([0.0], 0.5 + series.deficits[: qmax - 1]))  # 1 - A_i; no A_0 term
+    comp = np.concatenate(([0.0], 0.5 + deficits[: qmax - 1]))  # 1 - A_i; no A_0 term
     return _causal_convolve(ratios, comp, qmax) + tails
 
 
@@ -157,19 +147,13 @@ def _causal_convolve(a: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return y.ravel()[:n]
 
 
-def decay_table(
-    eta: EtaSequence,
-    qmax: int,
-    oracle_correlations: np.ndarray | None = None,
-) -> dict:
-    """Columns (q, A, V, K, D, C_oracle, C_over_D) for export."""
+def decay_table(eta: EtaSequence, qmax: int, oracle_correlations: np.ndarray) -> dict:
+    """Columns (q, A, V, K, D, C_oracle, C_over_D) for export; C_oracle is the first qmax
+    ``oracle_correlations``, and ``np.full(qmax, np.nan)`` gives a table without them."""
     series = renewal_series(eta, qmax)
     q = np.arange(1, qmax + 1)
     d = eta.double_tail_grid()[1 : qmax + 1]  # D(1..qmax); renewal_series needs qmax < n_max
-    if oracle_correlations is None:
-        c = np.full(qmax, np.nan)
-    else:
-        c = np.asarray(oracle_correlations, dtype=float)[:qmax]
+    c = np.asarray(oracle_correlations, dtype=float)[:qmax]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(c) / d
     return {

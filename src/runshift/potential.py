@@ -160,6 +160,9 @@ def eigenfunction(
         series = eta.tail(n + 1, beta=beta)
         err = eta.tail_error(beta)
     else:
+        if n > eta.n_max:
+            raise ToleranceError(f"eigenfunction at n={n} with lam != 1 sums stored terms "
+                                 f"past n, but n_max={eta.n_max}; use a larger n_max")
         series = 0.0
         damp = 1.0
         terms = eta.values[n:] ** beta
@@ -290,6 +293,8 @@ def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:
     J_L is the Jacobian on a leading run of length q, undefined (nan) at
     q = 1 where the value depends on the following run.
     """
+    if qmax < 1:
+        raise ValueError(f"qmax must be at least 1, got {qmax}")
     if qmax > eta.n_max:
         raise ValueError(f"qmax={qmax} exceeds n_max={eta.n_max}")
     q = np.arange(1, qmax + 1)

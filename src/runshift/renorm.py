@@ -43,15 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WaltersCoefficients:
-    """Defining data of a Walters-class potential: a_2, a_3, ... plus b, d.
+    """Defining data of a Walters-class potential: a_2, a_3, ... plus b.
 
-    ``a[i]`` stores a_{i+2}; b and d are the constant values on the switch
-    cylinders and ride along unchanged under renormalization.
+    ``a[i]`` stores a_{i+2}; b is the constant value on both switch cylinders,
+    equal by 0/1 symmetry, and rides along unchanged under renormalization.
     """
 
     a: np.ndarray
     b: float = 0.0
-    d: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=float)
@@ -70,21 +69,16 @@ class WaltersCoefficients:
         return float(self.a[n - 2])
 
 
-def coeffs_from_eta(eta: EtaSequence, rescale: bool = False) -> WaltersCoefficients:
+def coeffs_from_eta(eta: EtaSequence) -> WaltersCoefficients:
     """Coefficients with e^{a_q} = eta_q / eta_{q-1}; requires eta_1 = 1.
 
     With the convention eta_q = e^{a_2 + ... + a_q} the Jacobian rows sum
-    to one; pass ``rescale=True`` to divide out eta_1 first.  b = d are set
-    to log eta_1 - log W, the potential's value on the length-one run cylinders.
+    to one; ``eta.scaled(1 / eta.eta(1))`` normalizes any other sequence.
+    b = -log W, the potential's value on the length-one run cylinders.
     """
-    values = eta.values
-    if values[0] != 1.0:
-        if not rescale:
-            raise ValueError("eta_1 != 1; pass rescale=True to normalize first")
-        values = values / values[0]
-    a = np.log(values[1:] / values[:-1])
-    w = eta.W() / eta.values[0]
-    return WaltersCoefficients(a, b=-math.log(w), d=-math.log(w))
+    if abs(eta.values[0] - 1.0) > 2**-53:  # the scaled route may leave eta_1 one ulp below 1
+        raise ValueError("eta_1 != 1; normalize first with eta.scaled(1 / eta.eta(1))")
+    return WaltersCoefficients(np.log(eta.values[1:] / eta.values[:-1]), b=-math.log(eta.W()))
 
 
 def eta_from_coeffs(coeffs: WaltersCoefficients) -> EtaSequence:
@@ -118,7 +112,7 @@ def _offset_apply(coeffs: WaltersCoefficients, k: int, offsets) -> WaltersCoeffi
     out = np.zeros(ns.size)
     for c in offsets:
         out += coeffs.a[k * ns - c - 2]
-    return WaltersCoefficients(out, coeffs.b, coeffs.d)
+    return WaltersCoefficients(out, coeffs.b)
 
 
 # -- first type: block sums over k consecutive indices ---------------------
@@ -132,9 +126,7 @@ def renorm1_apply(coeffs: WaltersCoefficients, k: int) -> WaltersCoefficients:
     return _offset_apply(coeffs, k, range(2 * k - 3, k - 3, -1))
 
 
-def renorm1_fixed_point(
-    k: int, a2: float, n_max: int, b: float = 0.0
-) -> WaltersCoefficients:
+def renorm1_fixed_point(k: int, a2: float, n_max: int, b: float = 0.0) -> WaltersCoefficients:
     """Fixed point of the block operator with free parameters a_2 (and b).
 
     alpha(2) solves a_2 = -log((2 + alpha)/(1 + alpha)); each block
@@ -162,7 +154,7 @@ def renorm1_fixed_point(
     if np.any(shifted <= 0.0):
         bad = int(np.argmax(shifted <= 0.0)) + 2
         raise ValueError(f"recursion leaves n + alpha(n) - 1 <= 0 at n = {bad}")
-    return WaltersCoefficients(-np.log1p(1.0 / shifted), b=b, d=b)
+    return WaltersCoefficients(-np.log1p(1.0 / shifted), b=b)
 
 
 # -- second type: digit sums ------------------------------------------------
@@ -212,9 +204,7 @@ def renorm2_fixed_point(
     cm = CantorMeasure(ds)
     ns = np.arange(2, n_max + 1)
     vals, bounds = quadrature_values(cm, ns, depth)
-    return QuadratureFixedPoint(
-        WaltersCoefficients(-vals, b=b, d=b), bounds, cm, depth
-    )
+    return QuadratureFixedPoint(WaltersCoefficients(-vals, b=b), bounds, cm, depth)
 
 
 # -- verification -----------------------------------------------------------

@@ -491,6 +491,10 @@ def inverse_design(d: Callable[[int], float], qmax: int) -> EtaSequence:
     if np.any(eta <= 0.0):
         bad = int(np.argmax(eta <= 0.0)) + 1
         raise ValueError(f"second difference of the target is not positive at r={bad}")
+    if np.any(eta[1:] > eta[:-1]):
+        bad = int(np.argmax(eta[1:] > eta[:-1])) + 1
+        raise ValueError(f"the target's second differences d_r - 2 d_(r+1) + d_(r+2) increase "
+                         f"from r={bad} to r={bad + 1} in double precision")
     return EtaSequence(eta, TargetTail(d))
 
 

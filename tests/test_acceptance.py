@@ -151,7 +151,7 @@ def test_criterion_6_renewal_oracle_equivalence():
             worst, float(np.max(np.abs(ser.iterates - occupation_sweep(chain, (0, 1), qs))))
         )
         for s in (1, 2, 4, 8):
-            b = iterates_from_run(eta, s, 256, series=ser)
+            b = iterates_from_run(eta, s, 256)
             got = occupation_sweep(chain, (0, s), qs)
             worst = max(worst, float(np.max(np.abs(b - got))))
     _report(

@@ -519,6 +519,9 @@ class TestBadInput:
          "argument --nmax: must be at least 8, got 7"),
         (["fixed-point", "--type1", "--k", "2", "--a2=-0.5", "--nmax", "1"],
          "argument --nmax: must be at least 2, got 1"),
+        # rounding, not the target, breaks monotonicity of its second differences
+        (["inverse", "--target", "geometric:0.999999", "--qmax", "3"],
+         "second differences d_r - 2 d_(r+1) + d_(r+2) increase from r=2 to r=3"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -75,14 +75,8 @@ class TestRenewalRecursion:
 class TestIteratesFromRun:
     def test_reduces_to_plain_iterates_at_unit_run(self, power3):
         ser = renewal_series(power3, 64)
-        b = iterates_from_run(power3, 1, 64, series=ser)
+        b = iterates_from_run(power3, 1, 64)
         assert np.max(np.abs(b - ser.iterates)) < 1e-14
-
-    def test_series_of_another_sequence_rejected(self, power3):
-        # a power:2.5 series would silently give 0.684 at q = 2 instead of 0.756
-        other = make_eta("power", {"gamma": 2.5}, power3.n_max)
-        with pytest.raises(ValueError, match="another eta sequence"):
-            iterates_from_run(power3, 1, 8, series=renewal_series(other, 64))
 
     def test_first_step_is_continue_probability(self, power3):
         for s in (1, 3, 9):
@@ -185,17 +179,17 @@ class TestStretchedTailReport:
 
 class TestDecayTable:
     def test_columns(self, geometric_half):
-        table = decay_table(geometric_half, 16)
+        table = decay_table(geometric_half, 16, np.full(16, np.nan))
         assert list(table) == ["q", "A", "V", "K", "D", "C_oracle", "C_over_D"]
-        assert np.all(np.isnan(table["C_oracle"]))
-        table = decay_table(geometric_half, 8, oracle_correlations=np.zeros(8))
-        assert np.all(table["C_oracle"] == 0.0)
+        assert np.all(np.isnan(table["C_oracle"])) and np.all(np.isnan(table["C_over_D"]))
+        table = decay_table(geometric_half, 8, oracle_correlations=np.zeros(10))
+        assert np.array_equal(table["C_oracle"], np.zeros(8))
 
     def test_d_column_read_from_grid(self, power3, monkeypatch):
         lags = []
         scalar = EtaSequence.double_tail
         monkeypatch.setattr(EtaSequence, "double_tail",
                             lambda self, q, tol=None: lags.append(q) or scalar(self, q, tol))
-        table = decay_table(power3, 512)
+        table = decay_table(power3, 512, np.full(512, np.nan))
         assert lags == []  # no lag goes through the scalar route
         assert np.array_equal(table["D"], power3.double_tail_grid()[1:513])

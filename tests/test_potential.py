@@ -82,8 +82,8 @@ class TestPotentialValue:
             assert potential_value(inner_zeros(3), stretched_half, beta) == pytest.approx(
                 want, rel=1e-15, abs=0
             )
-        # at beta = 1 it is the b of the rescaled Walters coefficients
-        b = coeffs_from_eta(stretched_half, rescale=True).b
+        # at beta = 1 it is the b of the Walters coefficients of eta / eta_1
+        b = coeffs_from_eta(stretched_half.scaled(1 / stretched_half.eta(1))).b
         assert potential_value(inner_zeros(3), stretched_half) == pytest.approx(b, rel=1e-14, abs=0)
 
 
@@ -184,6 +184,14 @@ class TestEigenfunction:
         eta = make_eta("power", {"gamma": 3.0}, 100)
         with pytest.raises(ToleranceError, match=f"n={n} .*n_max=100"):
             eigenfunction(lead_zeros(n), eta, lam=1.05)
+        assert eigenfunction(lead_zeros(n), eta) > 1.0
+
+    @pytest.mark.parametrize("n", [101, 150])
+    def test_run_past_n_max_rejected_at_lam_above_one(self, n):
+        # the lam != 1 series sums the stored terms past n; at lam = 1 the tail model answers
+        eta = make_eta("power", {"gamma": 3.0}, 100)
+        with pytest.raises(ToleranceError, match=f"n={n} .*n_max=100; use a larger n_max"):
+            eigenfunction(lead_zeros(n), eta, lam=1.5, tol=1e-6)
         assert eigenfunction(lead_zeros(n), eta) > 1.0
 
     @pytest.mark.parametrize("lam", [1.0, 1.5])
@@ -299,3 +307,12 @@ class TestEquilibriumData:
         assert table["J_L"][1] == pytest.approx(
             power3.tail(2) / power3.tail(1), rel=1e-14, abs=0
         )
+
+    @pytest.mark.parametrize("qmax,cause", [
+        (0, "qmax must be at least 1, got 0"),
+        (-3, "qmax must be at least 1, got -3"),
+        (101, "qmax=101 exceeds n_max=100"),
+    ])
+    def test_table_rejects_qmax_out_of_range(self, qmax, cause):
+        with pytest.raises(ValueError, match=cause):
+            equilibrium_table(make_eta("power", {"gamma": 3.0}, 100), qmax)

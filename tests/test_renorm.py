@@ -40,12 +40,21 @@ class TestConversions:
         assert np.max(np.abs(back.values - power3.values) / power3.values) < 1e-13
 
     def test_eta1_gate(self, stretched_half):
-        with pytest.raises(ValueError, match="rescale"):
+        with pytest.raises(ValueError, match=r"eta\.scaled\(1 / eta\.eta\(1\)\)"):
             coeffs_from_eta(stretched_half)
-        coeffs = coeffs_from_eta(stretched_half, rescale=True)
+        coeffs = coeffs_from_eta(stretched_half.scaled(1 / stretched_half.eta(1)))
         back = eta_from_coeffs(coeffs)
         ratio = stretched_half.values / stretched_half.values[0]
         assert np.max(np.abs(back.values - ratio) / ratio) < 1e-12
+
+    def test_eta1_gate_passes_the_scaled_route_one_ulp_low(self, power3):
+        # 49 * (1/49) is 1 - 2^-53 in double precision, not 1
+        eta = power3.scaled(49.0)
+        assert eta.scaled(1 / eta.eta(1)).values[0] == 1.0 - 2.0**-53
+        coeffs = coeffs_from_eta(eta.scaled(1 / eta.eta(1)))
+        assert coeffs.b == pytest.approx(-math.log(power3.W()), rel=1e-14, abs=0)
+        with pytest.raises(ValueError, match="eta_1 != 1"):
+            coeffs_from_eta(power3.scaled(1.0 - 2.0**-52))
 
 
 class TestBlockOperator:
@@ -67,9 +76,9 @@ class TestBlockOperator:
         assert abs(image.a[0] - (-math.log(2.0))) > 0.2
 
     def test_passthrough_of_switch_values(self):
-        coeffs = WaltersCoefficients(np.zeros(50), b=1.5, d=1.5)
+        coeffs = WaltersCoefficients(np.zeros(50), b=1.5)
         image = renorm1_apply(coeffs, 2)
-        assert image.b == 1.5 and image.d == 1.5
+        assert image.b == 1.5
 
 
 U = 2.0**-53

@@ -270,6 +270,13 @@ class TestInverseDesign:
         with pytest.raises(ValueError, match="r=3"):
             inverse_design(d, qmax=2)
 
+    def test_rounded_second_differences_rising_named(self):
+        # geometric:0.999999 in exact arithmetic has decreasing second differences, but their
+        # rounded values rise from r=2 to r=3; the target is named, not EtaSequence's check
+        with pytest.raises(ValueError, match=r"d_r - 2 d_\(r\+1\) \+ d_\(r\+2\) increase "
+                                             r"from r=2 to r=3 in double precision"):
+            inverse_design(decay_profile("geometric:0.999999"), qmax=3)
+
 
 class TestSerialization:
     def test_table_columns(self, geometric_half):
