@@ -157,31 +157,60 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def _read_coeffs(path: str) -> WaltersCoefficients:
     """Read columns n,a of a table as ``_write_table`` writes it: CSV (``#`` lines
-    ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``)."""
+    ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``).
+    CSV rows are parsed by one ``np.loadtxt``, and walked one by one only to name a
+    row that fails; n is read as ``int(float(n))``."""
     with open(path) as fh:
         text = fh.read()
-    is_json = text.lstrip().startswith("{")
-    if is_json:
+    if text.lstrip().startswith("{"):
         data = json.loads(text).get("data", {})
-        rows = list(zip(data.get("n", []), data.get("a", [])))
+        ns, vals = _walk_rows(path, list(zip(data.get("n", []), data.get("a", []))))
     else:
-        lines = (line.strip() for line in text.splitlines())
-        rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+        lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+        if lines and _is_header(lines[0]):
+            del lines[0]
+        ns = vals = []
+        try:
+            if lines:
+                ns, vals = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2,
+                                      comments=None).T
+            if not np.isfinite(ns).all():
+                raise ValueError("n must be finite")
+        except ValueError as exc:
+            _walk_rows(path, [line.split(",") for line in lines])
+            raise ValueError(f"{path}: {exc}") from None
+    ns = np.trunc(np.asarray(ns, dtype=float))
+    if not ns.size or not np.array_equal(ns, np.arange(2, 2 + ns.size)):
+        raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
+    return WaltersCoefficients(np.array(vals))
+
+
+def _is_header(line: str) -> bool:
+    """Whether a table's first CSV row is a header: two cells or more that do not parse
+    as n,a.  A one-column row is not: the row walk names it."""
+    row = line.split(",")
+    try:
+        int(float(row[0])), float(row[1])
+    except ValueError:
+        return True
+    except (IndexError, OverflowError):
+        pass  # one cell, or n = inf: a bad row, not a header
+    return False
+
+
+def _walk_rows(path: str, rows: list) -> tuple[list, list]:
+    """n and a of each row, ``int(float(n))`` and ``float(a)``; the first row that is
+    not n,a raises an error naming it."""
     ns, vals = [], []
-    for i, row in enumerate(rows):
+    for row in rows:
         if len(row) < 2:
             raise ValueError(f"{path}: row {row[0]!r} has one column; expected n,a")
         try:
-            n, a = int(float(row[0])), float(row[1])
-        except (TypeError, ValueError):
-            if i == 0 and not is_json:
-                continue  # header row
+            ns.append(int(float(row[0])))
+            vals.append(float(row[1]))
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{path}: row {','.join(map(str, row))!r} is not n,a") from None
-        ns.append(n)
-        vals.append(a)
-    if not ns or ns != list(range(2, 2 + len(ns))):
-        raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
-    return WaltersCoefficients(np.asarray(vals))
+    return ns, vals
 
 
 def _select_operator(args) -> tuple[functools.partial, dict]:

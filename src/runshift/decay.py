@@ -150,10 +150,14 @@ def _causal_convolve(a: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def decay_table(eta: EtaSequence, qmax: int, oracle_correlations: np.ndarray) -> dict:
     """Columns (q, A, V, K, D, C_oracle, C_over_D) for export; C_oracle is the first qmax
     ``oracle_correlations``, and ``np.full(qmax, np.nan)`` gives a table without them."""
+    c = np.asarray(oracle_correlations, dtype=float)
+    if c.ndim != 1 or c.size < qmax:
+        raise ValueError(f"oracle_correlations of shape {c.shape}: qmax = {qmax} needs a 1-d "
+                         f"array of at least {qmax} entries")
     series = renewal_series(eta, qmax)
     q = np.arange(1, qmax + 1)
     d = eta.double_tail_grid()[1 : qmax + 1]  # D(1..qmax); renewal_series needs qmax < n_max
-    c = np.asarray(oracle_correlations, dtype=float)[:qmax]
+    c = c[:qmax]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(c) / d
     return {

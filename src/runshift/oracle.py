@@ -125,22 +125,29 @@ def sample_paths(chain: RenewalChain, length: int, n_paths: int, seed: int) -> d
     """Monte Carlo correlation estimates from simulated stationary paths.
 
     Returns arrays over q = 0..length: the empirical C(q) and its standard
-    error.  Deterministic for a fixed seed.
+    error.  Deterministic for a fixed seed, whose draws come in this order:
+    the start symbols (``integers(0, 2, n_paths)``), the start run lengths
+    (``choice(M, n_paths, p=2 stationary)``), then one ``random(n_paths)``
+    per step, path j continuing its run at step t iff its draw is below
+    c_m.  The estimates depend on that order.
     """
     if length < 1:
         raise ValueError(f"path length must be at least 1, got {length}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for a standard error, got {n_paths}")
     rng = np.random.default_rng(seed)
-    sym = rng.integers(0, 2, size=n_paths)
-    m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary) + 1
     zeros = np.empty((length + 1, n_paths), dtype=bool)
-    zeros[0] = sym == 0
+    np.equal(rng.integers(0, 2, size=n_paths), 0, out=zeros[0])
+    m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary)  # run length less one
+    u, c = np.empty(n_paths), np.empty(n_paths)
+    go = np.empty(n_paths, dtype=bool)
     for t in range(1, length + 1):
-        go = rng.random(n_paths) < chain.continue_probs[m - 1]
-        m = np.where(go, m + 1, 1)
-        sym = np.where(go, sym, 1 - sym)
-        zeros[t] = sym == 0
+        rng.random(out=u)
+        # m < M always, as c_M = 0 forces a switch; "clip" skips take's buffered bounds check
+        np.less(u, chain.continue_probs.take(m, out=c, mode="clip"), out=go)
+        m += 1
+        m *= go  # a switch restarts the run at length one
+        np.equal(zeros[t - 1], go, out=zeros[t])  # the symbol flips where the run ends
     hits = np.logical_and(zeros, zeros[0], out=zeros).mean(axis=1)  # x_0 = 0 and x_q = 0
     return {"q": np.arange(length + 1), "estimate": hits - 0.25,
             "stderr": np.sqrt(hits * (1.0 - hits) / (n_paths - 1))}

@@ -143,13 +143,13 @@ def renorm1_fixed_point(k: int, a2: float, n_max: int, b: float = 0.0) -> Walter
     big = math.exp(-a2)
     alpha = np.empty(n_max + 1)
     alpha[2] = (2.0 - big) / (big - 1.0)
-    n = 2
-    while True:
-        lo, hi = k * (n - 2) + 3, k * (n - 1) + 2
-        if lo > n_max:
-            break
-        alpha[lo : min(hi, n_max) + 1] = k * alpha[n] + (k - 2)
-        n += 1
+    # one level at a time: the blocks of indices lo..hi are the indices first..last
+    lo = hi = 2
+    while (first := k * (lo - 2) + 3) <= n_max:
+        last = min(k * (hi - 1) + 2, n_max)
+        blocks = np.repeat(k * alpha[lo : hi + 1] + (k - 2), k)
+        alpha[first : last + 1] = blocks[: last - first + 1]
+        lo, hi = first, last
     shifted = np.arange(2.0, n_max + 1.0) + alpha[2:] - 1.0
     if np.any(shifted <= 0.0):
         bad = int(np.argmax(shifted <= 0.0)) + 2

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature, quadrature_values
-from runshift.cli import _CHUNK, _write_table, entry, main
+from runshift.cli import _CHUNK, _read_coeffs, _write_table, entry, main
 
 
 def read_csv(path):
@@ -28,6 +29,35 @@ def read_csv(path):
         rows.append([float(x) for x in line.split(",")])
     data = dict(zip(header, np.array(rows).T))
     return meta, data
+
+
+def reference_read_coeffs(path):
+    """The row-by-row reader that ``_read_coeffs`` replaced: a of a CSV or JSON n,a
+    table, the first CSV row skipped when it does not parse."""
+    with open(path) as fh:
+        text = fh.read()
+    is_json = text.lstrip().startswith("{")
+    if is_json:
+        data = json.loads(text).get("data", {})
+        rows = list(zip(data.get("n", []), data.get("a", [])))
+    else:
+        lines = (line.strip() for line in text.splitlines())
+        rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    ns, vals = [], []
+    for i, row in enumerate(rows):
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {row[0]!r} has one column; expected n,a")
+        try:
+            n, a = int(float(row[0])), float(row[1])
+        except (TypeError, ValueError):
+            if i == 0 and not is_json:
+                continue  # header row
+            raise ValueError(f"{path}: row {','.join(map(str, row))!r} is not n,a") from None
+        ns.append(n)
+        vals.append(a)
+    if not ns or ns != list(range(2, 2 + len(ns))):
+        raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
+    return np.asarray(vals)
 
 
 class TestEta:
@@ -156,6 +186,70 @@ class TestApply:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(bad) in err and repr(row) in err
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_apply_reproduces_ra_bit_for_bit(self, tmp_path, k, fmt):
+        fp = tmp_path / f"fp.{fmt}"
+        assert main(["fixed-point", "--type1", "--k", str(k), "--a2", "-0.693147",
+                     "--nmax", "3000", "--out-format", fmt, "--out", str(fp)]) == 0
+        out = tmp_path / "ra.csv"
+        assert main(["apply", "--type1", "--k", str(k), "--in", str(fp), "--out", str(out)]) == 0
+        ra = (json.loads(fp.read_text())["data"]["Ra"] if fmt == "json"
+              else read_csv(fp)[1]["Ra"])
+        _, image = read_csv(out)
+        assert image["a"].size == np.count_nonzero(~np.isnan(ra))
+        assert np.array_equal(image["a"], np.asarray(ra)[: image["a"].size])
+        assert np.array_equal(_read_coeffs(str(fp)).a, reference_read_coeffs(str(fp)))
+
+    @pytest.mark.parametrize("name,text", [
+        ("no-header.csv", "2,-0.5\n3,-0.25\n4,-0.125\n"),
+        ("header-only-a.csv", "n,a\n2,-0.5\n3,-0.25\n"),
+        ("comments-and-blanks.csv",
+         "# runshift\n\nn,a,Ra\n2,-0.5,1\n  # a note\n\n   \n3,-0.25,2\n#\n4,1e-300,3\n"),
+        ("float-n.csv", "n,a\n2.0,-0.5\n3.0,-0.25\n4.7,0.1\n"),
+        ("crlf.csv", "# runshift\r\nn,a\r\n2,-0.5\r\n3,-0.25\r\n"),
+        ("spaces.csv", "n , a\n 2 , -0.5 \n3,\t-0.25\n"),
+        ("nan-header.csv", "nan,0.5\n2,-0.5\n3,-0.25\n"),
+        ("extra-columns.csv", "2,-0.5,x,y\n3,-0.25,,\n"),
+        ("nonfinite-a.csv", "n,a\n2,nan\n3,-inf\n4,inf\n"),
+    ])
+    def test_reader_matches_row_walk(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        got = _read_coeffs(str(path)).a
+        assert np.array_equal(got, reference_read_coeffs(str(path)), equal_nan=True)
+
+    @pytest.mark.parametrize("text", [
+        "n,a\n2,-0.5\n3\n",  # one column
+        "3\n2,-0.5\n",  # one-column first row: not a header
+        "n,a\n2,-0.5\n3,\n",  # an empty a
+        "n,a\n2,-0.5\n3,oops,nan\n",
+        "n,a\n2,-0.5 # a note\n",  # '#' starts a comment only at the start of a line
+        "n,a\n2,-0.5\nnan,0.1\n",  # n that is no integer
+        "n,a\n2,-0.5\n3,-0.25\n5,0.1\n",  # a gap
+        "n,a\n3,-0.5\n",  # not from 2
+        "n,a\n",  # no rows
+        "",
+    ])
+    def test_reader_errors_match_row_walk(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as want:
+            reference_read_coeffs(str(path))
+        with pytest.raises(ValueError, match="^" + re.escape(str(want.value)) + "$"):
+            _read_coeffs(str(path))
+
+    @pytest.mark.parametrize("text,cause", [
+        ("n,a\n2,-0.5\ninf,0.1\n", "row 'inf,0.1' is not n,a"),
+        ("n,a\n2,-0.5\n3,1_0\n", "'1_0'"),  # numpy's message names the cell
+    ])
+    def test_reader_rejects_what_loadtxt_or_int_refuse(self, tmp_path, text, cause):
+        # n = inf overflows int(float(n)); '1_0' is a Python float but no CSV number
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(cause)}"):
+            _read_coeffs(str(path))
 
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),

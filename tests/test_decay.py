@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,13 @@ class TestDecayTable:
         assert np.all(np.isnan(table["C_oracle"])) and np.all(np.isnan(table["C_over_D"]))
         table = decay_table(geometric_half, 8, oracle_correlations=np.zeros(10))
         assert np.array_equal(table["C_oracle"], np.zeros(8))
+
+    @pytest.mark.parametrize("oracle", [np.zeros(1), np.zeros(7), 0.0, np.zeros((8, 1))],
+                             ids=["one", "seven", "scalar", "column"])
+    def test_oracle_length_checked(self, geometric_half, oracle):
+        shape = re.escape(str(np.shape(oracle)))
+        with pytest.raises(ValueError, match=f"shape {shape}: qmax = 8 needs .* at least 8"):
+            decay_table(geometric_half, 8, oracle)
 
     def test_d_column_read_from_grid(self, power3, monkeypatch):
         lags = []

@@ -28,6 +28,24 @@ def step(chain, u):
     return out
 
 
+def reference_sample_paths(chain, length, n_paths, seed):
+    """The per-step sampler that sample_paths replaced: the same draws, 1-based run
+    lengths and symbols held as integers, new arrays at every step."""
+    rng = np.random.default_rng(seed)
+    sym = rng.integers(0, 2, size=n_paths)
+    m = rng.choice(chain.M, size=n_paths, p=2.0 * chain.stationary) + 1
+    zeros = np.empty((length + 1, n_paths), dtype=bool)
+    zeros[0] = sym == 0
+    for t in range(1, length + 1):
+        go = rng.random(n_paths) < chain.continue_probs[m - 1]
+        m = np.where(go, m + 1, 1)
+        sym = np.where(go, sym, 1 - sym)
+        zeros[t] = sym == 0
+    hits = np.logical_and(zeros, zeros[0], out=zeros).mean(axis=1)
+    return {"q": np.arange(length + 1), "estimate": hits - 0.25,
+            "stderr": np.sqrt(hits * (1.0 - hits) / (n_paths - 1))}
+
+
 def dense_transition(chain):
     """The full (2M, 2M) transition matrix; state (s, m) is index s * M + (m - 1)."""
     M = chain.M
@@ -239,6 +257,29 @@ class TestSamplePaths:
         b = sample_paths(chain, length=3, n_paths=10_000, seed=9)
         assert np.array_equal(a["estimate"], b["estimate"])
         assert np.array_equal(a["stderr"], b["stderr"])
+
+    @pytest.mark.parametrize("family,params,n_max,M", [
+        ("power", {"gamma": 2.5}, 400, 300),
+        ("stretched", {"theta": 0.3}, 400, 400),
+        ("geometric", {"ratio": 0.6}, 64, 200),  # the chain runs past n_max
+        ("geometric", {"ratio": 0.95}, 32, 100),
+    ])
+    @pytest.mark.parametrize("length,n_paths", [(1, 2), (1, 500), (40, 2), (64, 777)])
+    @pytest.mark.parametrize("seed", [0, 3, 2**31 - 1])
+    def test_matches_per_step_reference(self, family, params, n_max, M, length, n_paths, seed):
+        chain = build_chain(make_eta(family, params, n_max), M)
+        got = sample_paths(chain, length=length, n_paths=n_paths, seed=seed)
+        want = reference_sample_paths(chain, length, n_paths, seed)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_runs_reach_the_forced_switch(self):
+        # ratio 0.99 over M = 8: most paths continue, so many reach m = M and must switch
+        chain = build_chain(make_eta("geometric", {"ratio": 0.99}, 64), 8)
+        got = sample_paths(chain, length=50, n_paths=300, seed=1)
+        want = reference_sample_paths(chain, 50, 300, 1)
+        assert np.array_equal(got["estimate"], want["estimate"])
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_path_count_below_two_rejected(self, geometric_half, n_paths):

@@ -25,6 +25,22 @@ def hofbauer(n_max):
     return WaltersCoefficients(-np.log(n / (n - 1.0)))
 
 
+def reference_block_fixed_point(k, a2, n_max):
+    """The block-by-block recursion that renorm1_fixed_point replaced: one Python
+    step per block [k(n-2)+3, k(n-1)+2]."""
+    big = math.exp(-a2)
+    alpha = np.empty(n_max + 1)
+    alpha[2] = (2.0 - big) / (big - 1.0)
+    n = 2
+    while True:
+        lo, hi = k * (n - 2) + 3, k * (n - 1) + 2
+        if lo > n_max:
+            break
+        alpha[lo : min(hi, n_max) + 1] = k * alpha[n] + (k - 2)
+        n += 1
+    return -np.log1p(1.0 / (np.arange(2.0, n_max + 1.0) + alpha[2:] - 1.0))
+
+
 class TestConversions:
     def test_geometric_coeffs_constant(self, geometric_half):
         coeffs = coeffs_from_eta(geometric_half)
@@ -152,6 +168,20 @@ class TestBlockFixedPoint:
         rep = residual(coeffs, functools.partial(renorm1_apply, k=k))
         assert rep.sup_abs < 1e-12
         assert rep.n_checked >= 1000
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("a2", [-math.log(2.0), -0.1058, -3.7])
+    def test_matches_per_block_reference(self, k, a2):
+        # n_max at a_2 alone, the first and last index of n = 2's block, the last index of
+        # n = k + 1's block and one past it, and several levels deep
+        for n_max in (2, 3, k + 2, k * k + 2, k * k + 3, 5000):
+            got = renorm1_fixed_point(k, a2, n_max)
+            assert np.array_equal(got.a, reference_block_fixed_point(k, a2, n_max)), n_max
+
+    def test_nonpositive_shift_rejected(self):
+        # a_2 = -40 rounds alpha(2) to -1, so n + alpha(n) - 1 = 0 at n = 2
+        with pytest.raises(ValueError, match=r"n \+ alpha\(n\) - 1 <= 0 at n = 2$"):
+            renorm1_fixed_point(3, -40.0, 100)
 
     def test_positive_a2_rejected(self):
         with pytest.raises(ValueError):
