@@ -7,7 +7,10 @@ summable sequence eta_1, eta_2, ...  This module provides:
 * analytic families (power n^-gamma, stretched exp(-n^theta), geometric
   ratio^(n-1)) evaluated to a finite cutoff, together with tail models that
   certify the truncated remainders by integral brackets or closed forms,
-  all named in one registry, FAMILIES;
+  all named in one registry, FAMILIES; the stretched brackets' upper
+  incomplete gamma integrals come from the power series of the lower
+  integral for x < a + 1 and from the continued fraction of DLMF 8.9.2
+  otherwise, in pure Python;
 * custom finite sequences, EtaSequence(values, tail_model);
 * tail sums T(m) = sum_{n>=m} eta_n, double tails
   D(q) = sum_{m>q} (m-q) eta_m, powered sums W(beta) = sum_n eta_n^beta,
@@ -58,9 +61,44 @@ class ToleranceError(RuntimeError):
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Unnormalized upper incomplete gamma integral from x to infinity."""
-    from scipy import special  # here, its only use: importing runshift leaves scipy unloaded
-    return float(special.gammaincc(a, x) * special.gamma(a))
+    """Unnormalized upper incomplete gamma integral from x > 0 to infinity.
+
+    For x < a + 1, Gamma(a) minus the power series of the lower integral,
+    x^a e^-x sum_k x^k / (a (a+1) ... (a+k)); otherwise x^a e^-x times the
+    continued fraction of DLMF 8.9.2, evaluated by the modified Lentz method.
+    The factor x^a e^-x is exp(a log x - x), so it loses about
+    |a log x| + x ulps.  Returns inf where Gamma(a) or that factor overflows,
+    and 0 where the result underflows.
+    """
+    eps, tiny = 2.0**-52, 2.0**-1000
+    try:
+        if x < a + 1.0:
+            term = total = 1.0 / a
+            ap = a
+            while term > total * eps:
+                ap += 1.0
+                term *= x / ap
+                total += term
+            return math.gamma(a) - total * math.exp(a * math.log(x) - x)
+        # Gamma(a, x) x^-a e^x = 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...)))
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        frac = d
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) > tiny else tiny
+            step = c * d
+            frac *= step
+            if abs(step - 1.0) <= eps:
+                return frac * math.exp(a * math.log(x) - x)
+    except OverflowError:
+        return math.inf
 
 
 class TailModel:
@@ -189,10 +227,12 @@ class TargetTail(TailModel):
 
     With eta_r = d_r - 2 d_{r+1} + d_{r+2} the partial tails telescope:
     sum_{n>=m} eta_n = d_m - d_{m+1} and sum_{n>=m} (n-m) eta_n = d_{m+1}.
+    ``profile`` holds d_1, d_2, ... as inverse_design evaluated them.
     """
 
     d: Callable[[int], float]
     scale: float = 1.0
+    profile: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def value(self, n):
         d = self.d
@@ -495,7 +535,7 @@ def inverse_design(d: Callable[[int], float], qmax: int) -> EtaSequence:
         bad = int(np.argmax(eta[1:] > eta[:-1])) + 1
         raise ValueError(f"the target's second differences d_r - 2 d_(r+1) + d_(r+2) increase "
                          f"from r={bad} to r={bad + 1} in double precision")
-    return EtaSequence(eta, TargetTail(d))
+    return EtaSequence(eta, TargetTail(d, profile=dv))
 
 
 def sequence_table(eta: EtaSequence) -> dict:

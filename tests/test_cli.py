@@ -13,6 +13,7 @@ import pytest
 import runshift
 from runshift import CantorMeasure, DigitSystem, quadrature, quadrature_values
 from runshift.cli import _CHUNK, _read_coeffs, _write_table, entry, main
+from runshift.sequences import decay_profile
 
 
 def read_csv(path):
@@ -251,6 +252,52 @@ class TestApply:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(cause)}"):
             _read_coeffs(str(path))
 
+    @pytest.mark.parametrize("n,a", [
+        ([2, 3, 4], [-0.5, -0.25, 0.125]),
+        ([2.0, 3.0, 4.7], [-0.5, float("nan"), float("-inf")]),
+        ([2, 3, 4, 5], [-0.5, -0.25]),  # zipped to the shorter column
+        ([2, 3], [-0.5, -0.25, 7.0]),
+        ([2, 3, 4], [True, 2**63, -1]),
+        (["2", " 3.0 "], ["-0.5", "1e-300"]),  # strings, read by Python's float
+        ([2, 3], ["1_0", 0.5]),
+    ])
+    def test_json_reader_matches_row_walk(self, tmp_path, n, a):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps({"data": {"n": n, "a": a}}))
+        got = _read_coeffs(str(path)).a
+        assert np.array_equal(got, reference_read_coeffs(str(path)), equal_nan=True)
+
+    @pytest.mark.parametrize("n,a", [
+        ([2, None], [-0.5, 0.1]),
+        ([2, 3], [-0.5, None]),
+        ([2, [3]], [-0.5, 0.1]),  # ragged
+        ([[2], [3]], [-0.5, 0.1]),  # nested
+        ([2, 3], [-0.5, "oops"]),
+        ([2, 3], [-0.5, {"x": 1}]),
+        ([2, float("nan")], [-0.5, 0.1]),
+        ([2, 4], [-0.5, 0.1]),  # a gap
+        ([], []),
+    ])
+    def test_json_reader_errors_match_row_walk(self, tmp_path, n, a):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"data": {"n": n, "a": a}}))
+        with pytest.raises(ValueError) as want:
+            reference_read_coeffs(str(path))
+        with pytest.raises(ValueError, match="^" + re.escape(str(want.value)) + "$"):
+            _read_coeffs(str(path))
+
+    @pytest.mark.parametrize("n,a,row", [
+        ([2, float("inf")], [-0.5, 0.1], "inf,0.1"),
+        ([2, 10**400], [-0.5, 0.1], f"{10**400},0.1"),
+        ([2, 3], [-0.5, 10**400], f"3,{10**400}"),
+    ])
+    def test_json_reader_names_a_row_that_overflows(self, tmp_path, n, a, row):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"data": {"n": n, "a": a}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row {re.escape(repr(row))}"
+                                             " is not n,a$"):
+            _read_coeffs(str(path))
+
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")])
@@ -382,6 +429,17 @@ class TestInverse:
         assert meta["shift"] == "1"
         assert np.max(data["rel_err"]) < 1e-12
 
+    @pytest.mark.parametrize("target", ["power:2", "geometric:0.5", "stretched:0.351"])
+    def test_d_columns_are_the_scalar_profile(self, tmp_path, target):
+        # the d and d_shift columns are the design's one pass over the scalar callable
+        out = tmp_path / "inv.json"
+        assert main(["inverse", "--target", target, "--qmax", "300", "--out-format", "json",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())["data"]
+        fn = decay_profile(target)
+        assert data["d"] == [fn(q) for q in range(1, 301)]
+        assert data["d_shift"] == [fn(q) for q in range(2, 302)]
+
 
 class TestPlumbing:
     def test_unknown_flag_exits_two(self):
@@ -435,16 +493,34 @@ class TestPlumbing:
             assert proc.returncode == 0, module
             assert proc.stdout.startswith("usage: runshift"), module
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy is loaded by the stretched tail model only, not at import
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # the library needs numpy only: neither the import nor a run of any subcommand,
+        # the stretched family's incomplete gamma tails included, loads scipy
         src = os.path.dirname(os.path.dirname(runshift.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, RUNSHIFT_OUT_DIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, runshift, runshift.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        runs = [
+            ["eta", "--family", "stretched:0.5", "--nmax", "2000"],
+            ["eta", "--family", "stretched:0.005", "--nmax", "100"],
+            ["decay", "--family", "stretched:0.5", "--qmax", "64", "--oracle-trunc", "2000",
+             "--mc-paths", "100", "--seed", "1"],
+            ["inverse", "--target", "stretched:0.5", "--qmax", "100"],
+            ["fixed-point", "--type1", "--k", "2", "--a2", "-0.693147", "--nmax", "100",
+             "--out", "fp.csv"],
+            ["apply", "--type1", "--k", "2", "--in", "fp.csv"],
+            ["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--depth", "8",
+             "--nmax", "50"],
+            ["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--depth", "8",
+             "--mc", "2000", "--seed", "1"],
+        ]
+        code = ("import sys, runshift, runshift.cli\n"
+                "loaded = 'scipy' in sys.modules\n"
+                f"codes = [runshift.cli.main(argv) for argv in {runs!r}]\n"
+                "print(loaded, codes, 'scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == f"False {[0] * len(runs)} False"
 
     @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["decay", "--family", "cubic:3"], 2)])
     def test_console_script_exits_with_main_code(self, monkeypatch, tmp_path, argv, code):

@@ -15,7 +15,7 @@ from runshift import (
     parse_family,
     sequence_table,
 )
-from runshift.sequences import FAMILIES, GeometricTail
+from runshift.sequences import FAMILIES, GeometricTail, _upper_gamma
 
 
 class TestMakeEta:
@@ -132,6 +132,40 @@ class TestTails:
             eta.tail(1, tol=1e-10)
         # un-certified truncated value still available
         assert eta.tail(1) > 1.0
+
+
+class TestUpperGamma:
+    # the stretched tails' incomplete gamma integral, a = k/theta for k = 1, 2, 3
+
+    @pytest.mark.parametrize("theta", [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
+    def test_against_mpmath(self, theta):
+        # the factor x^a e^-x = exp(a log x - x) is off by about |a log x| + x ulps;
+        # below the normal range doubles are 2^-1074 apart
+        mpmath = pytest.importorskip("mpmath")
+        for a in (1.0 / theta, 2.0 / theta, 3.0 / theta):
+            # both sides of the switch from the series to the continued fraction
+            xs = [*np.geomspace(0.3, 745.0, 40).tolist(), math.nextafter(a + 1.0, 0.0), a + 1.0]
+            for x in xs:
+                with mpmath.workdps(40):
+                    want = mpmath.gammainc(a, x)
+                    err = abs(mpmath.mpf(_upper_gamma(a, x)) - want)
+                bound = 2.0 * (abs(a * math.log(x)) + x + 32.0) * 2.0**-53 * want + 2.0**-1074
+                assert err <= bound, (a, x)
+
+    @pytest.mark.parametrize("x", [0.3, 1.06, 100.0, 200.0])
+    def test_gamma_overflow_gives_inf(self, x):
+        # Gamma(200) overflows a double
+        assert _upper_gamma(200.0, x) == math.inf
+
+    def test_overflowing_tail_is_uncertified(self):
+        # a = 1/theta = 200: the far bracket is (0, inf), and nothing raises
+        eta = make_eta("stretched", {"theta": 0.005}, 100)
+        assert eta.tail_error() == math.inf
+
+    @pytest.mark.parametrize("a", [1.0 / 0.95, 2.0, 4.0])
+    def test_underflow_gives_zero(self, a):
+        # Gamma(a, 800) <= 800^(a-1) e^-800 / (1 - (a-1)/800) < 2^-1075
+        assert _upper_gamma(a, 800.0) == 0.0
 
 
 class TestDoubleTail:
