@@ -40,6 +40,7 @@ from .sequences import (
     make_eta,
     parse_family,
     sequence_table,
+    target_grid,
 )
 
 __all__ = ["main", "entry"]
@@ -157,16 +158,14 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def _read_coeffs(path: str) -> WaltersCoefficients:
     """Read columns n,a of a table as ``_write_table`` writes it: CSV (``#`` lines
-    ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``,
-    as long as the shorter of the two).  CSV rows are parsed by one ``np.loadtxt``,
-    JSON columns of numbers converted by numpy, and rows are walked one by one only
-    to name a row that fails or to read JSON cells of other types; n is read as
-    ``int(float(n))``."""
+    ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``).
+    CSV rows are parsed by one ``np.loadtxt``, and walked one by one only to name a
+    row that fails; n is read as ``int(float(n))``."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         data = json.loads(text).get("data", {})
-        ns, vals = _json_columns(path, data.get("n", []), data.get("a", []))
+        ns, vals = _walk_rows(path, list(zip(data.get("n", []), data.get("a", []))))
     else:
         lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
         if lines and _is_header(lines[0]):
@@ -185,21 +184,6 @@ def _read_coeffs(path: str) -> WaltersCoefficients:
     if not ns.size or not np.array_equal(ns, np.arange(2, 2 + ns.size)):
         raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
     return WaltersCoefficients(np.array(vals))
-
-
-def _json_columns(path: str, ns, vals) -> tuple:
-    """n and a of the JSON columns ``ns`` and ``vals``, zipped to the shorter; numpy
-    converts two flat columns of numbers with finite n, ``_walk_rows`` anything else."""
-    try:
-        cols = [np.asarray(ns), np.asarray(vals)]
-    except (ValueError, OverflowError):  # ragged nested lists, or ints numpy cannot hold
-        cols = []
-    if len(cols) == 2 and all(c.ndim == 1 and c.dtype.kind in "biuf" for c in cols):
-        size = min(cols[0].size, cols[1].size)
-        n, a = (c[:size].astype(float) for c in cols)
-        if np.isfinite(n).all():
-            return n, a
-    return _walk_rows(path, list(zip(ns, vals)))
 
 
 def _is_header(line: str) -> bool:
@@ -340,9 +324,11 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    eta = inverse_design(decay_profile(args.target), args.qmax)
+    fn = decay_profile(args.target)
+    dv = target_grid(fn, args.qmax)
+    eta = inverse_design(fn, args.qmax, dv)
     q = np.arange(1, args.qmax + 1)
-    d = eta.tail_model.profile[: args.qmax + 1]  # d_q for q = 1..qmax+1
+    d = dv[: args.qmax + 1]  # d_q for q = 1..qmax+1
     dq = eta.double_tail_grid()[1 : args.qmax + 1]
     rel_err = np.abs(dq - d[1:]) / d[1:]
     rel = float(rel_err.max())

@@ -43,6 +43,7 @@ __all__ = [
     "parse_family",
     "make_eta",
     "inverse_design",
+    "target_grid",
     "decay_profile",
     "sequence_table",
     "PowerTail",
@@ -227,12 +228,10 @@ class TargetTail(TailModel):
 
     With eta_r = d_r - 2 d_{r+1} + d_{r+2} the partial tails telescope:
     sum_{n>=m} eta_n = d_m - d_{m+1} and sum_{n>=m} (n-m) eta_n = d_{m+1}.
-    ``profile`` holds d_1, d_2, ... as inverse_design evaluated them.
     """
 
     d: Callable[[int], float]
     scale: float = 1.0
-    profile: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def value(self, n):
         d = self.d
@@ -506,20 +505,27 @@ def decay_profile(spec: str):
     return fam.profile(p)
 
 
-def inverse_design(d: Callable[[int], float], qmax: int) -> EtaSequence:
+def target_grid(d: Callable[[int], float], qmax: int) -> np.ndarray:
+    """d_1, d_2, ..., d_(n_max+2) with n_max = max(2 qmax + 16, 64): the values of
+    the target profile ``d`` that ``inverse_design(d, qmax)`` works from."""
+    if qmax < 2:
+        raise ValueError("qmax must be at least 2")
+    return np.array([d(q) for q in range(1, max(2 * qmax + 16, 64) + 3)])
+
+
+def inverse_design(d: Callable[[int], float], qmax: int,
+                   dv: np.ndarray | None = None) -> EtaSequence:
     """Construct eta whose double tail realizes a target decay profile.
 
     ``d`` is a callable mapping q >= 1 to a strictly decreasing,
-    convex-difference profile.  The construction sets
+    convex-difference profile, and ``dv`` its values ``target_grid(d, qmax)``,
+    evaluated here unless given.  The construction sets
     eta_r = d_r - 2 d_{r+1} + d_{r+2}; double telescoping then gives
     sum_{s>=1} sum_{k>=0} eta_{k+q+s} = d_{q+1} exactly (the shift is one).
     Rejects profiles whose differences fail to stay positive, naming the
     first bad index.
     """
-    if qmax < 2:
-        raise ValueError("qmax must be at least 2")
-    n_max = max(2 * qmax + 16, 64)
-    dv = np.array([d(q) for q in range(1, n_max + 3)])
+    dv = target_grid(d, qmax) if dv is None else dv
     if np.any(dv <= 0.0):
         bad = int(np.argmax(dv <= 0.0)) + 1
         raise ValueError(f"target profile is not positive at q={bad}")
@@ -535,7 +541,7 @@ def inverse_design(d: Callable[[int], float], qmax: int) -> EtaSequence:
         bad = int(np.argmax(eta[1:] > eta[:-1])) + 1
         raise ValueError(f"the target's second differences d_r - 2 d_(r+1) + d_(r+2) increase "
                          f"from r={bad} to r={bad + 1} in double precision")
-    return EtaSequence(eta, TargetTail(d, profile=dv))
+    return EtaSequence(eta, TargetTail(d))
 
 
 def sequence_table(eta: EtaSequence) -> dict:

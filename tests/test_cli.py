@@ -252,40 +252,6 @@ class TestApply:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(cause)}"):
             _read_coeffs(str(path))
 
-    @pytest.mark.parametrize("n,a", [
-        ([2, 3, 4], [-0.5, -0.25, 0.125]),
-        ([2.0, 3.0, 4.7], [-0.5, float("nan"), float("-inf")]),
-        ([2, 3, 4, 5], [-0.5, -0.25]),  # zipped to the shorter column
-        ([2, 3], [-0.5, -0.25, 7.0]),
-        ([2, 3, 4], [True, 2**63, -1]),
-        (["2", " 3.0 "], ["-0.5", "1e-300"]),  # strings, read by Python's float
-        ([2, 3], ["1_0", 0.5]),
-    ])
-    def test_json_reader_matches_row_walk(self, tmp_path, n, a):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps({"data": {"n": n, "a": a}}))
-        got = _read_coeffs(str(path)).a
-        assert np.array_equal(got, reference_read_coeffs(str(path)), equal_nan=True)
-
-    @pytest.mark.parametrize("n,a", [
-        ([2, None], [-0.5, 0.1]),
-        ([2, 3], [-0.5, None]),
-        ([2, [3]], [-0.5, 0.1]),  # ragged
-        ([[2], [3]], [-0.5, 0.1]),  # nested
-        ([2, 3], [-0.5, "oops"]),
-        ([2, 3], [-0.5, {"x": 1}]),
-        ([2, float("nan")], [-0.5, 0.1]),
-        ([2, 4], [-0.5, 0.1]),  # a gap
-        ([], []),
-    ])
-    def test_json_reader_errors_match_row_walk(self, tmp_path, n, a):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"data": {"n": n, "a": a}}))
-        with pytest.raises(ValueError) as want:
-            reference_read_coeffs(str(path))
-        with pytest.raises(ValueError, match="^" + re.escape(str(want.value)) + "$"):
-            _read_coeffs(str(path))
-
     @pytest.mark.parametrize("n,a,row", [
         ([2, float("inf")], [-0.5, 0.1], "inf,0.1"),
         ([2, 10**400], [-0.5, 0.1], f"{10**400},0.1"),
