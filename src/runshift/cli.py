@@ -5,8 +5,8 @@ mirror with ``--out-format json``) whose header records the version, the
 full parameter set, and any seeds, so identical invocations produce
 byte-identical data sections.  Exit codes: 0 success, 2 precondition or
 usage rejection, 1 internal error.  The RUNSHIFT_OUT_DIR environment
-variable supplies the default output directory; an optional key=value
-config file supplies flag defaults that explicit flags override.
+variable supplies the default output directory; an argument file, @FILE after
+the subcommand, supplies flags as key = value lines that later flags override.
 """
 
 from __future__ import annotations
@@ -243,13 +243,13 @@ def _cmd_fixed_point(args) -> int:
     if args.type1:
         if args.a2 is None:
             raise ValueError("--type1 needs --a2")
-        coeffs = renorm1_fixed_point(args.k, args.a2, args.nmax, b=args.b)
+        coeffs = renorm1_fixed_point(args.k, args.a2, args.nmax)
         meta["a2"] = args.a2
     else:
-        fp = renorm2_fixed_point(operator.keywords["ds"], args.nmax, depth=args.depth, b=args.b)
-        coeffs = fp.coeffs
-        meta.update(depth=_depth_field(fp.depth), alpha=fp.measure.alpha)
-    meta.update(b=args.b, nmax=args.nmax)
+        ds = operator.keywords["ds"]
+        coeffs = renorm2_fixed_point(ds, args.nmax, depth=args.depth).coeffs
+        meta.update(depth=_depth_field(args.depth), alpha=ds.hausdorff_alpha)
+    meta["nmax"] = args.nmax
     try:
         image = operator(coeffs)
     except InputTooShort as exc:
@@ -343,17 +343,29 @@ def _cmd_inverse(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _file_args(line: str) -> list[str]:
+    """An argument-file line as arguments: ``key = value`` is ``--key value`` (``_`` as ``-``),
+    ``key = true`` the switch ``--key``; ``key = false``, blank and ``#`` lines give none."""
+    key, _, value = (part.strip() for part in line.partition("="))
+    if not key or key[0] == "#" or value.lower() == "false":
+        return []
+    flag = "--" + key.replace("_", "-")
+    return [flag] if value.lower() == "true" else [flag, value]
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name, built once: parsing
-    never changes them."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="runshift",
         description="Run-structure thermodynamics on the binary shift: "
         "sequences, renormalization fixed points, Cantor quadrature, "
         "decay of correlations.",
+        epilog="@FILE after the subcommand reads its flags from FILE, one 'key = value' "
+        "a line ('key = true' for a switch); flags after @FILE override it.",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="key=value file of flag defaults")
+    parser.convert_arg_line_to_args = _file_args
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):
@@ -378,7 +390,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (needed by --type1)")
     p.add_argument("--depth", type=int,
                    help="midpoint-rule depth (type 2; default: the exact series)")
-    p.add_argument("--b", type=float, default=0.0, help="free switch-cylinder value")
     p.add_argument("--nmax", type=_at_least(2), default=1000)
 
     p = command("apply", _cmd_apply, "apply a renormalization operator to a table: n, a")
@@ -409,49 +420,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--target", required=True, help="power:P | geometric:R | stretched:T")
     p.add_argument("--qmax", type=_at_least(2), default=1000)
 
-    return parser, sub.choices
-
-
-def _apply_config(argv: list[str], commands: dict) -> list[str]:
-    """Strip --config PATH anywhere in argv and fold its key=value entries
-    in right after the subcommand, so explicit flags override them.  An
-    entry for a flag that takes no value reads key=true or key=false."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
-    command = commands.get(rest[0]) if rest else None
-    extra: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
-            flag = f"--{key.replace('_', '-')}"
-            if command is None or command.get_default(key.replace("-", "_")) is not False:
-                extra += [flag, value]
-            elif value.lower() not in ("true", "false"):
-                raise ValueError(f"{path}: {key} is a flag; set {key}=true or {key}=false")
-            elif value.lower() == "true":
-                extra.append(flag)
-    return rest[:1] + extra + rest[1:]
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
-        argv = _apply_config(argv, commands)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
-        print(f"runshift: error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.run(args)
     except (ValueError, ToleranceError, NotSummableError, OSError) as exc:

@@ -126,8 +126,8 @@ def renorm1_apply(coeffs: WaltersCoefficients, k: int) -> WaltersCoefficients:
     return _offset_apply(coeffs, k, range(2 * k - 3, k - 3, -1))
 
 
-def renorm1_fixed_point(k: int, a2: float, n_max: int, b: float = 0.0) -> WaltersCoefficients:
-    """Fixed point of the block operator with free parameters a_2 (and b).
+def renorm1_fixed_point(k: int, a2: float, n_max: int) -> WaltersCoefficients:
+    """Fixed point of the block operator with free parameter a_2.
 
     alpha(2) solves a_2 = -log((2 + alpha)/(1 + alpha)); each block
     [k(n-2)+3, k(n-1)+2] then carries alpha = k alpha(n) + (k - 2), and
@@ -154,7 +154,7 @@ def renorm1_fixed_point(k: int, a2: float, n_max: int, b: float = 0.0) -> Walter
     if np.any(shifted <= 0.0):
         bad = int(np.argmax(shifted <= 0.0)) + 2
         raise ValueError(f"recursion leaves n + alpha(n) - 1 <= 0 at n = {bad}")
-    return WaltersCoefficients(-np.log1p(1.0 / shifted), b=b)
+    return WaltersCoefficients(-np.log1p(1.0 / shifted))
 
 
 # -- second type: digit sums ------------------------------------------------
@@ -184,12 +184,10 @@ class QuadratureFixedPoint:
 
     coeffs: WaltersCoefficients
     bounds: np.ndarray
-    measure: CantorMeasure
-    depth: int | None  # None: the exact series, no quadrature
 
 
 def renorm2_fixed_point(
-    ds: DigitSystem, n_max: int, depth: int | None = None, b: float = 0.0
+    ds: DigitSystem, n_max: int, depth: int | None = None
 ) -> QuadratureFixedPoint:
     """Fixed point of the digit operator from the Cantor-measure integral.
 
@@ -201,10 +199,9 @@ def renorm2_fixed_point(
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    cm = CantorMeasure(ds)
     ns = np.arange(2, n_max + 1)
-    vals, bounds = quadrature_values(cm, ns, depth)
-    return QuadratureFixedPoint(WaltersCoefficients(-vals, b=b), bounds, cm, depth)
+    vals, bounds = quadrature_values(CantorMeasure(ds), ns, depth)
+    return QuadratureFixedPoint(WaltersCoefficients(-vals), bounds)
 
 
 # -- verification -----------------------------------------------------------

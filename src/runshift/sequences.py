@@ -19,10 +19,11 @@ summable sequence eta_1, eta_2, ...  This module provides:
   d_q via second differences, with exact tails inherited from the target.
 
 Series are accumulated smallest-terms-first (one cumulative sum from the
-far end), so T(m) = eta_m + T(m+1) holds exactly in floating point and the
-certified error of a reported value is the analytic bracket width, not
-accumulated rounding.  The double tails come from the same grid by
-D(q) = sum_{j>q} T(j): one more far-end cumulative sum gives every D(q).
+far end), so T(m) = eta_m + T(m+1) holds exactly in floating point.  The
+certified error of a reported value is the far bracket's half-width; the
+rounding of the far-end sum is not yet counted.  The double tails come
+from the same grid by D(q) = sum_{j>q} T(j): one more far-end cumulative
+sum gives every D(q).
 """
 
 from __future__ import annotations
@@ -315,8 +316,8 @@ class EtaSequence:
         return self._tail_grid(beta)[0]
 
     def tail_error(self, beta: float = 1.0) -> float:
-        """Certified error of each entry of tail_grid(beta): the half-width
-        of the tail model's bracket beyond n_max (inf without a model)."""
+        """Certified error of each entry of tail_grid(beta): the far bracket's half-width
+        (inf without a tail model), not yet counting the far-end sum's rounding."""
         return self._tail_grid(beta)[1]
 
     @cached_property

@@ -124,6 +124,13 @@ class TestFixedPoint:
         ref = np.log1p(1.0 / (n - 1.0))
         assert np.all(np.abs(data["a"] + ref) <= bounds + 9 * 2.0**-53 * ref)
 
+    def test_no_b_flag(self, tmp_path, capsys):
+        # b is no input of either fixed point, so there is no flag to set it
+        rc = main(["fixed-point", "--type1", "--k", "2", "--a2=-0.5", "--b", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--b" in capsys.readouterr().err
+
     def test_needs_exactly_one_type(self, tmp_path, capsys):
         rc = main(["fixed-point", "--k", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -420,34 +427,39 @@ class TestPlumbing:
         assert rc == 0
         assert (tmp_path / "eta.csv").exists()
 
-    def test_config_file_defaults_and_override(self, tmp_path):
+    def test_config_file_defaults_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = geometric:0.5\nnmax = 16\n")
+        cfg.write_text("# eta defaults\n\nfamily = geometric:0.5\nnmax = 16\n")
         out = tmp_path / "eta.csv"
-        rc = main(["eta", "--config", str(cfg), "--out", str(out)])
+        rc = main(["eta", f"@{cfg}", "--out", str(out)])
         assert rc == 0
         meta, _ = read_csv(out)
         assert meta["nmax"] == "16"
-        # explicit flag wins over the config value
-        rc = main(["eta", "--config", str(cfg), "--nmax", "24", "--out", str(out)])
+        # a flag after the argument file wins over the file's value
+        rc = main(["eta", f"@{cfg}", "--nmax", "24", "--out", str(out)])
         assert rc == 0
         meta, data = read_csv(out)
         assert meta["nmax"] == "24"
         assert data["n"].size == 24
+        capsys.readouterr()
+        missing = tmp_path / "absent.cfg"
+        assert main(["eta", f"@{missing}"]) == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_config_flag_entries(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "fp.csv"
         cfg.write_text("type1 = true\nk = 2\na2 = -0.6931471805599453\nnmax = 40\n")
-        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["fixed-point", f"@{cfg}", "--out", str(out)]) == 0
         assert read_csv(out)[0]["type"] == "1"
         cfg.write_text("type1 = False\ntype2 = true\nk = 3\ndigits = 0,2\n"
                        "depth = 8\nnmax = 20\n")
-        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["fixed-point", f"@{cfg}", "--out", str(out)]) == 0
         assert read_csv(out)[0]["type"] == "2"
+        capsys.readouterr()
         cfg.write_text("type1 = yes\nk = 2\n")
-        assert main(["fixed-point", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "type1 is a flag; set type1=true or type1=false" in capsys.readouterr().err
+        assert main(["fixed-point", f"@{cfg}", "--out", str(out)]) == 2
+        assert "yes" in capsys.readouterr().err
 
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(runshift.__file__))
