@@ -6,7 +6,6 @@ of base k; its fixed point is the negative kernel integral against the
 maximal-entropy measure of a digit-restricted Cantor set.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -35,9 +34,9 @@ def _require(ok, what: str) -> None:
 def main():
     print("== block operator, k = 2, a_2 = -log 2 ==")
     coeffs = renorm1_fixed_point(2, -math.log(2.0), 2000)
-    rep = residual(coeffs, functools.partial(renorm1_apply, k=2))
-    print(f"a_n = -log(n/(n-1)) recovered; sup residual {rep.sup_abs:.2e} "
-          f"over {rep.n_checked} indices")
+    res = residual(coeffs, renorm1_apply(coeffs, 2))
+    print(f"a_n = -log(n/(n-1)) recovered; sup residual {res.max():.2e} "
+          f"over {res.size} indices")
     eta = eta_from_coeffs(coeffs)
     n = np.arange(1.0, eta.n_max + 1.0)
     gap = np.max(np.abs(n * eta.values - 1.0))
@@ -52,37 +51,39 @@ def main():
 
     print("\n== block operator, k = 3, a_2 = -log 3 ==")
     coeffs = renorm1_fixed_point(3, -math.log(3.0), 3002)
-    rep = residual(coeffs, functools.partial(renorm1_apply, k=3))
-    print(f"sup residual {rep.sup_abs:.2e} over {rep.n_checked} indices")
+    res = residual(coeffs, renorm1_apply(coeffs, 3))
+    print(f"sup residual {res.max():.2e} over {res.size} indices")
 
     print("\n== digit operator, k = 3, digits {0,1,2}: the interval case ==")
-    fp = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 50, depth=12)
+    coeffs, _ = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 50, depth=12)
     n = np.arange(2.0, 51.0)
-    gap = np.max(np.abs(fp.coeffs.a + np.log(n / (n - 1.0))))
+    gap = np.max(np.abs(coeffs.a + np.log(n / (n - 1.0))))
     print(f"quadrature vs closed form -log(n/(n-1)): max gap {gap:.2e}")
 
     print("\n== digit operator, k = 3, digits {0,2}: middle-thirds set ==")
     ds = DigitSystem(3, (0, 2))
     print(f"dimension exponent alpha = {ds.hausdorff_alpha:.6f}")
-    fp = renorm2_fixed_point(ds, 60, depth=14)
-    image = renorm2_apply(fp.coeffs, ds)
+    coeffs, bounds = renorm2_fixed_point(ds, 60, depth=14)
+    image = renorm2_apply(coeffs, ds)
+    res = residual(coeffs, image)
     for n in (2, 5, 20):
-        lhs, rhs = fp.coeffs.a_at(n), image.a_at(n)
-        print(f"  a_{n} = {lhs:+.9f}   (Ra)_{n} = {rhs:+.9f}   "
-              f"diff {abs(lhs - rhs):.2e} <= {(ds.l + 1) * fp.bounds[n - 2]:.2e}")
+        print(f"  a_{n} = {coeffs.a_at(n):+.9f}   (Ra)_{n} = {image.a_at(n):+.9f}   "
+              f"diff {res[n - 2]:.2e} <= {(ds.l + 1) * bounds[n - 2]:.2e}")
+    _require(np.all(res <= (ds.l + 1) * bounds[: res.size]),
+             "a digit residual exceeds (l + 1) times its quadrature bound")
     print(f"offset lemma, two applications = offsets {renorm2_digit_indices(ds, 2).tolist()}")
 
     print("\n== digit operator, k = 5, digits {0,3}: faster-than-polynomial ==")
     ds5 = DigitSystem(5, (0, 3))
     alpha = ds5.hausdorff_alpha
-    fp5 = renorm2_fixed_point(ds5, 2000)
-    eta5 = eta_from_coeffs(fp5.coeffs)
+    coeffs5, bounds5 = renorm2_fixed_point(ds5, 2000)
+    eta5 = eta_from_coeffs(coeffs5)
     # K lies in [inf K, sup K], so -a_n = I(n) lies between (n - inf K)^-alpha
     # and (n - sup K)^-alpha, widened by the series bound and edge rounding
     n = np.arange(2.0, 2001.0)
-    lo = (n - ds5.digits[0] / (ds5.k - 1)) ** -alpha * (1.0 - 2.0 * U) - fp5.bounds
-    hi = (n - ds5.sup) ** -alpha * (1.0 + 2.0 * U) + fp5.bounds
-    inside = (lo <= -fp5.coeffs.a) & (-fp5.coeffs.a <= hi)
+    lo = (n - ds5.digits[0] / (ds5.k - 1)) ** -alpha * (1.0 - 2.0 * U) - bounds5
+    hi = (n - ds5.sup) ** -alpha * (1.0 + 2.0 * U) + bounds5
+    inside = (lo <= -coeffs5.a) & (-coeffs5.a <= hi)
     print(f"alpha = {alpha:.6f}; (n - inf K)^-alpha <= -a_n <= (n - sup K)^-alpha "
           f"for all n <= 2000: {bool(inside.all())}")
     _require(inside.all(), "-a_n leaves its pointwise bracket")

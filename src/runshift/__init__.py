@@ -62,7 +62,6 @@ from .potential import (
     zero_cylinder_mass,
 )
 from .renorm import (
-    QuadratureFixedPoint,
     WaltersCoefficients,
     coeffs_from_eta,
     eta_from_coeffs,

@@ -31,6 +31,7 @@ from .renorm import (
     renorm1_fixed_point,
     renorm2_apply,
     renorm2_fixed_point,
+    residual,
 )
 from .sequences import (
     NotSummableError,
@@ -50,7 +51,7 @@ _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # The writer formats and writes about _CHUNK cells at a time (whole rows in CSV), so its
 # memory does not grow with the table.  The float cells of a chunk, all its columns in
 # CSV and one column in JSON (which writes every cell as a float), come from one call of
-# the vectorized repr of _floattext; a JSON table of at most _CHUNK cells takes one call.
+# the vectorized repr of _floattext.
 _CHUNK = 4096
 
 
@@ -59,15 +60,14 @@ def _text(parts: list) -> str:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
-def _cell_text(cols: list, json: bool = False) -> list:
-    """Text matrices of the columns' cells: ``repr`` of floats and ``str`` of integers;
-    with ``json``, ``json.dumps`` of each cell as a float.  The float cells, and with
-    ``json`` every cell, come from one kernel call."""
-    floats = [c for c in cols if json or c.dtype.kind == "f"]
-    text = float_text(np.concatenate(floats), json) if floats else None
+def _cell_text(cols: list) -> list:
+    """Text matrices of the columns' cells: ``repr`` of floats and ``str`` of integers.
+    The float cells come from one kernel call."""
+    floats = [c for c in cols if c.dtype.kind == "f"]
+    text = float_text(np.concatenate(floats)) if floats else None
     out, at = [], 0
     for c in cols:
-        if json or c.dtype.kind == "f":
+        if c.dtype.kind == "f":
             out.append(text[at : at + len(c)])
             at += len(c)
         else:
@@ -106,11 +106,8 @@ def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) 
         if as_json:
             head = {"meta": {"version": __version__, **meta}, "columns": list(columns)}
             fh.write(json.dumps(head, indent=1).removesuffix("\n}") + ',\n "data": {')
-            if sum(map(len, cols)) <= _CHUNK:  # the whole table at once
-                chunks = ([text] for text in _cell_text(cols, json=True))
-            else:
-                chunks = ((_cell_text([col[at : at + _CHUNK]], json=True)[0]
-                           for at in range(0, len(col), _CHUNK)) for col in cols)
+            chunks = ((float_text(col[at : at + _CHUNK], json=True)
+                       for at in range(0, len(col), _CHUNK)) for col in cols)
             for i, (name, col, texts) in enumerate(zip(columns, cols, chunks)):
                 # indent=1 layout: "[]" when empty, else one cell a line, comma-separated
                 fh.write(f"{',' if i else ''}\n  {json.dumps(name)}: [")
@@ -165,7 +162,15 @@ def _read_coeffs(path: str) -> WaltersCoefficients:
         text = fh.read()
     if text.lstrip().startswith("{"):
         data = json.loads(text).get("data", {})
-        ns, vals = _walk_rows(path, list(zip(data.get("n", []), data.get("a", []))))
+        if not isinstance(data, dict):
+            raise ValueError(f'{path}: "data" is not an object of columns n, a')
+        cols = [data.get(name, []) for name in "na"]
+        for name, col in zip("na", cols):
+            if not isinstance(col, list):
+                raise ValueError(f'{path}: column "{name}" is not a list')
+        if len(cols[0]) != len(cols[1]):
+            raise ValueError(f"{path}: column n has {len(cols[0])} cells, column a {len(cols[1])}")
+        ns, vals = _walk_rows(path, list(zip(*cols)))
     else:
         lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
         if lines and _is_header(lines[0]):
@@ -214,17 +219,16 @@ def _walk_rows(path: str, rows: list) -> tuple[list, list]:
     return ns, vals
 
 
-def _select_operator(args) -> tuple[functools.partial, dict]:
-    """The operator --type1 / --type2 name, with its header fields."""
-    if args.type1 == args.type2:
-        raise ValueError("choose exactly one of --type1 / --type2")
+def _select_operator(args) -> tuple[functools.partial, dict, DigitSystem | None]:
+    """The operator --type1 / --type2 name, with its header fields and, for --type2,
+    its digit system."""
     if args.type1:
-        return functools.partial(renorm1_apply, k=args.k), {"type": 1, "k": args.k}
+        return functools.partial(renorm1_apply, k=args.k), {"type": 1, "k": args.k}, None
     if args.digits is None:
         raise ValueError("--type2 needs --digits")
     ds = DigitSystem(args.k, _parse_digits(args.digits))
     return functools.partial(renorm2_apply, ds=ds), {"type": 2, "k": args.k,
-                                                     "digits": args.digits}
+                                                     "digits": args.digits}, ds
 
 
 # -- subcommands -------------------------------------------------------------
@@ -238,7 +242,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    operator, fields = _select_operator(args)
+    operator, fields, ds = _select_operator(args)
     meta = {"command": "fixed-point", **fields}
     if args.type1:
         if args.a2 is None:
@@ -246,8 +250,7 @@ def _cmd_fixed_point(args) -> int:
         coeffs = renorm1_fixed_point(args.k, args.a2, args.nmax)
         meta["a2"] = args.a2
     else:
-        ds = operator.keywords["ds"]
-        coeffs = renorm2_fixed_point(ds, args.nmax, depth=args.depth).coeffs
+        coeffs, _ = renorm2_fixed_point(ds, args.nmax, depth=args.depth)
         meta.update(depth=_depth_field(args.depth), alpha=ds.hausdorff_alpha)
     meta["nmax"] = args.nmax
     try:
@@ -255,18 +258,17 @@ def _cmd_fixed_point(args) -> int:
     except InputTooShort as exc:
         raise ValueError(f"--nmax {args.nmax} is too small: (Ra)_2 needs a_{exc.required}, "
                          f"so --nmax must be at least {exc.required}") from None
-    n = np.arange(2, coeffs.n_max + 1)
-    ra = np.full(n.size, np.nan)
-    ra[: image.a.size] = image.a
-    res = np.abs(coeffs.a - ra)
-    sup = float(res[: image.a.size].max())
+    res = residual(coeffs, image)
+    pad = np.full(coeffs.a.size - res.size, np.nan)  # where (Ra)_n needs a_i past n_max
     return _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
-                        {"n": n, "a": coeffs.a, "Ra": ra, "residual": res},
-                        f"sup residual {sup!r} over {image.a.size} indices")
+                        {"n": np.arange(2, coeffs.n_max + 1), "a": coeffs.a,
+                         "Ra": np.concatenate([image.a, pad]),
+                         "residual": np.concatenate([res, pad])},
+                        f"sup residual {float(res.max())!r} over {res.size} indices")
 
 
 def _cmd_apply(args) -> int:
-    operator, fields = _select_operator(args)
+    operator, fields, _ = _select_operator(args)
     coeffs = _read_coeffs(args.infile)
     try:
         image = operator(coeffs)
@@ -363,21 +365,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "decay of correlations.",
         epilog="@FILE after the subcommand reads its flags from FILE, one 'key = value' "
         "a line ('key = true' for a switch); flags after @FILE override it.",
-        fromfile_prefix_chars="@",
     )
-    parser.convert_arg_line_to_args = _file_args
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, fromfile_prefix_chars="@")
+        p.convert_arg_line_to_args = _file_args  # @FILE is read after the subcommand only
         p.add_argument("--out", help="output path (default: RUNSHIFT_OUT_DIR)")
         p.add_argument("--out-format", choices=["csv", "json"], default="csv")
         p.set_defaults(run=run)
         return p
 
     def operator_flags(p):
-        p.add_argument("--type1", action="store_true", help="block operator")
-        p.add_argument("--type2", action="store_true", help="digit operator (needs --digits)")
+        kind = p.add_mutually_exclusive_group(required=True)
+        kind.add_argument("--type1", action="store_true", help="block operator")
+        kind.add_argument("--type2", action="store_true", help="digit operator (needs --digits)")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--digits", help="comma list c_1,...,c_l (type 2)")
 

@@ -13,6 +13,10 @@ evaluates it through the index map alone, for two offset sets:
 * the digit operator of a digit system (k; c_1..c_l), C = {c_1..c_l},
   whose fixed point is minus the Cantor-measure kernel integral from
   runshift.cantor.
+
+Results are plain arrays: a fixed point is its coefficients with, for the
+digit operator, the per-index bounds of ``quadrature_values``, and
+``residual`` gives |a_n - (Ra)_n| for each n the image defines.
 """
 
 from __future__ import annotations
@@ -35,22 +39,16 @@ __all__ = [
     "renorm2_apply",
     "renorm2_digit_indices",
     "renorm2_fixed_point",
-    "QuadratureFixedPoint",
     "residual",
-    "ResidualReport",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class WaltersCoefficients:
-    """Defining data of a Walters-class potential: a_2, a_3, ... plus b.
-
-    ``a[i]`` stores a_{i+2}; b is the constant value on both switch cylinders,
-    equal by 0/1 symmetry, and rides along unchanged under renormalization.
-    """
+    """Run coefficients a_2, a_3, ... of a Walters-class potential; ``a[i]``
+    stores a_{i+2}.  The value on the length-one runs is not part of it."""
 
     a: np.ndarray
-    b: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=float)
@@ -74,11 +72,10 @@ def coeffs_from_eta(eta: EtaSequence) -> WaltersCoefficients:
 
     With the convention eta_q = e^{a_2 + ... + a_q} the Jacobian rows sum
     to one; ``eta.scaled(1 / eta.eta(1))`` normalizes any other sequence.
-    b = -log W, the potential's value on the length-one run cylinders.
     """
     if abs(eta.values[0] - 1.0) > 2**-53:  # the scaled route may leave eta_1 one ulp below 1
         raise ValueError("eta_1 != 1; normalize first with eta.scaled(1 / eta.eta(1))")
-    return WaltersCoefficients(np.log(eta.values[1:] / eta.values[:-1]), b=-math.log(eta.W()))
+    return WaltersCoefficients(np.log(eta.values[1:] / eta.values[:-1]))
 
 
 def eta_from_coeffs(coeffs: WaltersCoefficients) -> EtaSequence:
@@ -112,7 +109,7 @@ def _offset_apply(coeffs: WaltersCoefficients, k: int, offsets) -> WaltersCoeffi
     out = np.zeros(ns.size)
     for c in offsets:
         out += coeffs.a[k * ns - c - 2]
-    return WaltersCoefficients(out, coeffs.b)
+    return WaltersCoefficients(out)
 
 
 # -- first type: block sums over k consecutive indices ---------------------
@@ -178,18 +175,11 @@ def renorm2_digit_indices(ds: DigitSystem, n_fold: int) -> np.ndarray:
     return np.sort(_digit_sums(np.asarray(ds.digits, dtype=np.int64), weights))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureFixedPoint:
-    """Digit-operator fixed point a_n = -I(n) with per-index certified bounds."""
-
-    coeffs: WaltersCoefficients
-    bounds: np.ndarray
-
-
 def renorm2_fixed_point(
     ds: DigitSystem, n_max: int, depth: int | None = None
-) -> QuadratureFixedPoint:
-    """Fixed point of the digit operator from the Cantor-measure integral.
+) -> tuple[WaltersCoefficients, np.ndarray]:
+    """Fixed point of the digit operator from the Cantor-measure integral,
+    with the certified bound of each a_n.
 
     a_n = -I(n) for 2 <= n <= n_max, where I is the kernel integral over
     K(l, k) at exponent alpha = log l / log k, exact by default or from the
@@ -201,26 +191,13 @@ def renorm2_fixed_point(
         raise ValueError("n_max must be at least 2")
     ns = np.arange(2, n_max + 1)
     vals, bounds = quadrature_values(CantorMeasure(ds), ns, depth)
-    return QuadratureFixedPoint(WaltersCoefficients(-vals), bounds)
+    return WaltersCoefficients(-vals), bounds
 
 
 # -- verification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """sup |a_n - (Ra)_n| over verifiable indices."""
-
-    sup_abs: float
-    n_checked: int
-
-
-def residual(coeffs: WaltersCoefficients, operator) -> ResidualReport:
-    """Fixed-point residual of ``coeffs`` under ``operator`` (a callable
-    WaltersCoefficients -> WaltersCoefficients, e.g. a partial of
-    renorm1_apply or renorm2_apply)."""
-    image = operator(coeffs)
-    n_top = min(coeffs.n_max, image.n_max)
-    diff = np.abs(coeffs.a[: n_top - 1] - image.a[: n_top - 1])
-    return ResidualReport(float(diff.max()), n_top - 1)
-
+def residual(coeffs: WaltersCoefficients, image: WaltersCoefficients) -> np.ndarray:
+    """|a_n - (Ra)_n| for n = 2..image.n_max, where ``image`` is the operator
+    applied to ``coeffs``."""
+    return np.abs(coeffs.a[: image.a.size] - image.a)

@@ -132,8 +132,11 @@ class TestFixedPoint:
         assert "--b" in capsys.readouterr().err
 
     def test_needs_exactly_one_type(self, tmp_path, capsys):
-        rc = main(["fixed-point", "--k", "2", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+        out = str(tmp_path / "x.csv")
+        assert main(["fixed-point", "--k", "2", "--out", out]) == 2
+        assert "one of the arguments --type1 --type2 is required" in capsys.readouterr().err
+        assert main(["fixed-point", "--type1", "--type2", "--k", "2", "--out", out]) == 2
+        assert "argument --type2: not allowed with argument --type1" in capsys.readouterr().err
 
 
 class TestApply:
@@ -270,6 +273,21 @@ class TestApply:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row {re.escape(repr(row))}"
                                              " is not n,a$"):
             _read_coeffs(str(path))
+
+    @pytest.mark.parametrize("text,cause", [
+        ('{"data": [1, 2]}', '"data" is not an object of columns n, a'),
+        ('{"data": {"n": 5, "a": 3}}', 'column "n" is not a list'),
+        ('{"data": {"n": [2, 3], "a": -0.5}}', 'column "a" is not a list'),
+        ('{"data": {"n": [2, 3, 4, 5, 6], "a": [-0.5, -0.25, -0.1, 0.2]}}',
+         "column n has 5 cells, column a 4"),
+    ])
+    def test_json_reader_names_malformed_data(self, tmp_path, capsys, text, cause):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["apply", "--type1", "--k", "2", "--in", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"{bad}: {cause}\n" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),
@@ -445,6 +463,15 @@ class TestPlumbing:
         missing = tmp_path / "absent.cfg"
         assert main(["eta", f"@{missing}"]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_argument_file_before_the_subcommand_is_named(self, tmp_path, capsys):
+        # @FILE is read after the subcommand only, so a misplaced one is the error named,
+        # not a value from inside it
+        cfg = tmp_path / "eta.args"
+        cfg.write_text("family = geometric:0.5\nnmax = 16\n")
+        assert main([f"@{cfg}", "eta"]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '@{cfg}'" in err and "geometric" not in err
 
     def test_config_flag_entries(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

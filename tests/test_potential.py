@@ -14,7 +14,6 @@ from runshift import (
     SymbolicPoint,
     ToleranceError,
     check_normalization,
-    coeffs_from_eta,
     decay_profile,
     eigenfunction,
     equilibrium_cylinder,
@@ -82,9 +81,11 @@ class TestPotentialValue:
             assert potential_value(inner_zeros(3), stretched_half, beta) == pytest.approx(
                 want, rel=1e-15, abs=0
             )
-        # at beta = 1 it is the b of the Walters coefficients of eta / eta_1
-        b = coeffs_from_eta(stretched_half.scaled(1 / stretched_half.eta(1))).b
-        assert potential_value(inner_zeros(3), stretched_half) == pytest.approx(b, rel=1e-14, abs=0)
+        # at beta = 1 it is -log W of eta / eta_1
+        minus_log_w = -math.log(stretched_half.scaled(1 / stretched_half.eta(1)).W())
+        assert potential_value(inner_zeros(3), stretched_half) == pytest.approx(
+            minus_log_w, rel=1e-14, abs=0
+        )
 
 
 class TestTransferOperator:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from runshift import (
+    CantorMeasure,
     DigitSystem,
     WaltersCoefficients,
     coeffs_from_eta,
     eta_from_coeffs,
     make_eta,
+    quadrature_values,
     renorm1_apply,
     renorm1_fixed_point,
     renorm2_apply,
@@ -45,7 +47,6 @@ class TestConversions:
     def test_geometric_coeffs_constant(self, geometric_half):
         coeffs = coeffs_from_eta(geometric_half)
         assert np.allclose(coeffs.a, -math.log(2.0), rtol=0, atol=1e-15)
-        assert coeffs.b == pytest.approx(-math.log(2.0))
 
     def test_hofbauer_telescoping(self):
         eta = eta_from_coeffs(hofbauer(200))
@@ -68,7 +69,8 @@ class TestConversions:
         eta = power3.scaled(49.0)
         assert eta.scaled(1 / eta.eta(1)).values[0] == 1.0 - 2.0**-53
         coeffs = coeffs_from_eta(eta.scaled(1 / eta.eta(1)))
-        assert coeffs.b == pytest.approx(-math.log(power3.W()), rel=1e-14, abs=0)
+        back = eta_from_coeffs(coeffs)
+        assert np.max(np.abs(back.values - power3.values) / power3.values) < 1e-13
         with pytest.raises(ValueError, match="eta_1 != 1"):
             coeffs_from_eta(power3.scaled(1.0 - 2.0**-52))
 
@@ -90,11 +92,6 @@ class TestBlockOperator:
         # a_3 + a_4 + a_5 = -log(5/2) != a_2
         assert image.a[0] == pytest.approx(-math.log(2.5), rel=1e-14, abs=0)
         assert abs(image.a[0] - (-math.log(2.0))) > 0.2
-
-    def test_passthrough_of_switch_values(self):
-        coeffs = WaltersCoefficients(np.zeros(50), b=1.5)
-        image = renorm1_apply(coeffs, 2)
-        assert image.b == 1.5
 
 
 U = 2.0**-53
@@ -165,9 +162,9 @@ class TestBlockFixedPoint:
     @pytest.mark.parametrize("a2", [-math.log(2.0), -math.log(3.0)])
     def test_residual_small(self, k, a2):
         coeffs = renorm1_fixed_point(k, a2, k * 1000 + 2)
-        rep = residual(coeffs, functools.partial(renorm1_apply, k=k))
-        assert rep.sup_abs < 1e-12
-        assert rep.n_checked >= 1000
+        res = residual(coeffs, renorm1_apply(coeffs, k))
+        assert res.max() < 1e-12
+        assert res.size >= 1000
 
     @pytest.mark.parametrize("k", range(2, 7))
     @pytest.mark.parametrize("a2", [-math.log(2.0), -0.1058, -3.7])
@@ -269,30 +266,37 @@ class TestDigitLemma:
 
 class TestDigitFixedPoint:
     def test_lebesgue_case_closed_form(self):
-        fp = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 60, depth=12)
+        coeffs, _ = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 60, depth=12)
         n = np.arange(2.0, 61.0)
-        assert np.max(np.abs(fp.coeffs.a + np.log(n / (n - 1.0)))) < 1e-8
+        assert np.max(np.abs(coeffs.a + np.log(n / (n - 1.0)))) < 1e-8
+
+    def test_returns_coeffs_and_bounds(self):
+        ds = DigitSystem(3, (0, 2))
+        coeffs, bounds = renorm2_fixed_point(ds, 40, depth=10)
+        assert isinstance(coeffs, WaltersCoefficients) and coeffs.n_max == 40
+        assert isinstance(bounds, np.ndarray) and bounds.shape == coeffs.a.shape
+        vals, want = quadrature_values(CantorMeasure(ds), np.arange(2, 41), 10)
+        assert np.array_equal(coeffs.a, -vals) and np.array_equal(bounds, want)
 
     def test_self_similarity_residual(self):
         ds = DigitSystem(3, (0, 2))
-        fp = renorm2_fixed_point(ds, 30, depth=14)
-        image = renorm2_apply(fp.coeffs, ds)
-        for n in range(2, 11):
-            allowed = (ds.l + 1) * fp.bounds[n - 2]
-            assert abs(fp.coeffs.a_at(n) - image.a_at(n)) <= allowed
+        coeffs, bounds = renorm2_fixed_point(ds, 30, depth=14)
+        res = residual(coeffs, renorm2_apply(coeffs, ds))
+        assert res.size == 9  # n = 2..10
+        assert np.all(res <= (ds.l + 1) * bounds[: res.size])
 
     def test_k5_alpha_and_eta_order(self):
         ds = DigitSystem(5, (0, 3))
         assert ds.hausdorff_alpha == pytest.approx(0.43067655807339306, abs=1e-12)
         alpha, u = ds.hausdorff_alpha, 2.0**-53
-        fp = renorm2_fixed_point(ds, 2000, depth=12)
-        eta = eta_from_coeffs(fp.coeffs)
+        coeffs, bounds = renorm2_fixed_point(ds, 2000, depth=12)
+        eta = eta_from_coeffs(coeffs)
         # K lies in [inf K, sup K], so -a_n = I(n) lies between (n - inf K)^-alpha
         # and (n - sup K)^-alpha, widened by the quadrature bound and edge rounding
         n = np.arange(2.0, 2001.0)
-        lo = (n - ds.digits[0] / (ds.k - 1)) ** -alpha * (1.0 - 2.0 * u) - fp.bounds
-        hi = (n - ds.sup) ** -alpha * (1.0 + 2.0 * u) + fp.bounds
-        assert np.all((lo <= -fp.coeffs.a) & (-fp.coeffs.a <= hi))
+        lo = (n - ds.digits[0] / (ds.k - 1)) ** -alpha * (1.0 - 2.0 * u) - bounds
+        hi = (n - ds.sup) ** -alpha * (1.0 + 2.0 * u) + bounds
+        assert np.all((lo <= -coeffs.a) & (-coeffs.a <= hi))
         # summed: -log eta_2000 = sum of -a_n, so eta_n is of order exp(-n^(1-alpha)/(1-alpha));
         # the slack covers the cumsum, exp and log between the two
         minus_log = -math.log(eta.values[-1])
@@ -305,11 +309,23 @@ class TestResidualOp:
         coeffs = renorm1_fixed_point(2, -math.log(2.0), 200)
         bumped = WaltersCoefficients(coeffs.a.copy())
         bumped.a[2] += 1e-3
-        rep = residual(bumped, functools.partial(renorm1_apply, k=2))
-        assert rep.sup_abs >= 1e-3
+        assert residual(bumped, renorm1_apply(bumped, 2)).max() >= 1e-3
 
     def test_zero_residual_for_zero(self):
-        rep = residual(
-            WaltersCoefficients(np.zeros(64)), functools.partial(renorm1_apply, k=2)
-        )
-        assert rep.sup_abs == 0.0
+        zero = WaltersCoefficients(np.zeros(64))
+        assert np.all(residual(zero, renorm1_apply(zero, 2)) == 0.0)
+
+    @pytest.mark.parametrize("apply", [
+        functools.partial(renorm1_apply, k=2),
+        functools.partial(renorm1_apply, k=3),
+        functools.partial(renorm1_apply, k=4),
+        functools.partial(renorm2_apply, ds=DigitSystem(3, (0, 2))),
+    ], ids=["block-2", "block-3", "block-4", "digit-3-02"])
+    def test_is_elementwise_difference(self, apply):
+        # residual(coeffs, image)[i] is |a_{i+2} - (Ra)_{i+2}| for n = 2..(Ra).n_max
+        coeffs = WaltersCoefficients(np.random.default_rng(5).normal(size=500))
+        image = apply(coeffs)
+        res = residual(coeffs, image)
+        assert res.size == image.n_max - 1
+        want = [abs(coeffs.a_at(n) - image.a_at(n)) for n in range(2, image.n_max + 1)]
+        assert np.array_equal(res, want)
