@@ -43,9 +43,7 @@ from .oracle import (
     sample_paths,
 )
 from .potential import (
-    ALL_ONES,
     ALL_ZEROS,
-    ONE_THEN_ZEROS,
     ZERO_THEN_ONES,
     SymbolicPoint,
     check_normalization,
@@ -53,10 +51,8 @@ from .potential import (
     equilibrium_cylinder,
     equilibrium_normalization,
     equilibrium_table,
-    inner_ones,
     inner_zeros,
     jacobian,
-    lead_ones,
     lead_zeros,
     potential_value,
     zero_cylinder_mass,

@@ -34,6 +34,7 @@ from .renorm import (
     residual,
 )
 from .sequences import (
+    FAMILIES,
     NotSummableError,
     ToleranceError,
     decay_profile,
@@ -161,7 +162,10 @@ def _read_coeffs(path: str) -> WaltersCoefficients:
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        data = json.loads(text).get("data", {})
+        try:
+            data = json.loads(text).get("data", {})
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f'{path}: "data" is not an object of columns n, a')
         cols = [data.get(name, []) for name in "na"]
@@ -296,21 +300,34 @@ def _cmd_integrate(args) -> int:
                         f"I({args.n})={value!r} +- {bound!r}")
 
 
+def _reach(family: str, params: dict, n: int) -> int:
+    """The last m <= n with a nonzero weight, as make_eta stores it; weights never rise."""
+    fam = FAMILIES[family]
+    fam.check(params[fam.key])  # make_eta's own error for a parameter outside the family
+    value = fam.tail(params[fam.key]).value
+    if value(np.array([float(n)]))[0] > 0.0:
+        return n
+    return int(np.count_nonzero(value(np.arange(1.0, n + 1.0))))
+
+
 def _cmd_decay(args) -> int:
     family, params = parse_family(args.family)
-    nmax = args.nmax
-    if nmax is None:
-        nmax = max(args.qmax + 2, args.oracle_trunc + 1, 64)
-        if family == "geometric" and 0.0 < params["ratio"] < 1.0:
-            # the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
-            nmax = min(nmax, 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])))
+    # the renewal sweep reads T(qmax + 1); the chain reads eta up to M unless it is geometric
+    need = max(args.qmax + 1, 0 if family == "geometric" else args.oracle_trunc)
+    default = max(args.qmax + 2, args.oracle_trunc + 1, 64)
+    if args.nmax is None and family == "geometric" and 0.0 < params["ratio"] < 1.0:
+        # the last n with ratio^(n-1) a normal double; make_eta rejects other ratios
+        reach, kind = 1 + int(np.log(sys.float_info.min) / np.log(params["ratio"])), "normal"
+    else:
+        reach, kind = _reach(family, params, max(args.nmax or default, need)), "nonzero"
+    nmax = args.nmax or min(default, reach)  # only the default stops where the weights do
+    if nmax < need:
+        flag = f"--qmax {args.qmax}" if need == args.qmax + 1 else f"--oracle-trunc {need}"
+        what = f"--nmax at least {need}, got {nmax}" if args.nmax else f"weights up to n = {need}"
+        but = f", but {args.family} weights are {kind} doubles only up to n = {reach}"
+        raise ValueError(f"{flag} needs {what}" + (but if reach < need else ""))
     eta = make_eta(family, params, nmax)
     chain = build_chain(eta, args.oracle_trunc)
-    if nmax < args.qmax + 1:  # the renewal sweep reads T(qmax + 1)
-        if args.nmax is None:  # only geometric weights cap the default
-            raise ValueError(f"--qmax {args.qmax} needs weights up to n = {args.qmax + 1}, but "
-                             f"{args.family} weights are normal doubles only up to n = {nmax}")
-        raise ValueError(f"--qmax {args.qmax} needs --nmax at least {args.qmax + 1}, got {nmax}")
     c = correlation(chain, np.arange(1, args.qmax + 1))
     table = decay_table(eta, args.qmax, oracle_correlations=c)
     meta = {"command": "decay", "family": args.family, "qmax": args.qmax,
@@ -390,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("fixed-point", _cmd_fixed_point, "renormalization fixed point: n, a, Ra, residual")
     operator_flags(p)
     p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (needed by --type1)")
-    p.add_argument("--depth", type=int,
+    p.add_argument("--depth", type=_at_least(0),
                    help="midpoint-rule depth (type 2; default: the exact series)")
     p.add_argument("--nmax", type=_at_least(2), default=1000)
 
@@ -402,8 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, help="midpoint-rule depth (default: the exact series)")
-    p.add_argument("--mc", type=int,
+    p.add_argument("--depth", type=_at_least(0),
+                   help="midpoint-rule depth (default: the exact series)")
+    p.add_argument("--mc", type=_at_least(1000),
                    help="add a Monte Carlo cross-check with this many samples")
     p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 
@@ -412,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--qmax", type=_at_least(1), default=256)
     p.add_argument("--oracle-trunc", type=_at_least(2), default=10000)  # build_chain needs M >= 2
-    p.add_argument("--nmax", type=_at_least(1))
-    p.add_argument("--mc-paths", type=_at_least(1),
+    p.add_argument("--nmax", type=_at_least(8))
+    p.add_argument("--mc-paths", type=_at_least(2),
                    help="add Monte Carlo columns C_mc, mc_stderr, eps_trunc")
     p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 

@@ -12,6 +12,8 @@ measure mu with raw cylinder masses T(q); the normalized Jacobian
 is a stochastic kernel because T(q) = eta_q + T(q+1) exactly.  Points are
 described symbolically by their leading run pattern, which is precisely
 the information the potential, eigenfunction, and Jacobian depend on.
+All three are symmetric under 0 <-> 1, so each mirror pair of points is
+named once, by its zero-led member (inner_zeros(q) by its run of zeros).
 """
 
 from __future__ import annotations
@@ -28,13 +30,9 @@ __all__ = [
     "Pattern",
     "SymbolicPoint",
     "lead_zeros",
-    "lead_ones",
-    "inner_ones",
     "inner_zeros",
     "ALL_ZEROS",
-    "ALL_ONES",
     "ZERO_THEN_ONES",
-    "ONE_THEN_ZEROS",
     "potential_value",
     "eigenfunction",
     "equilibrium_cylinder",
@@ -49,16 +47,9 @@ __all__ = [
 
 class Pattern(Enum):
     LEAD_ZEROS = "0^q 1 ..."
-    LEAD_ONES = "1^q 0 ..."
-    INNER_ONES = "0 1^q 0 ..."
     INNER_ZEROS = "1 0^q 1 ..."
     ALL_ZEROS = "0^inf"
-    ALL_ONES = "1^inf"
     ZERO_THEN_ONES = "0 1^inf"
-    ONE_THEN_ZEROS = "1 0^inf"
-
-
-_NEEDS_Q = {Pattern.LEAD_ZEROS, Pattern.LEAD_ONES, Pattern.INNER_ONES, Pattern.INNER_ZEROS}
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ class SymbolicPoint:
     q: int | None = None
 
     def __post_init__(self):
-        if self.pattern in _NEEDS_Q:
+        if self.pattern in (Pattern.LEAD_ZEROS, Pattern.INNER_ZEROS):
             if self.q is None or self.q < 1:
                 raise ValueError(f"{self.pattern.name} needs a run length q >= 1")
         elif self.q is not None:
@@ -81,39 +72,20 @@ def lead_zeros(q: int) -> SymbolicPoint:
     return SymbolicPoint(Pattern.LEAD_ZEROS, q)
 
 
-def lead_ones(q: int) -> SymbolicPoint:
-    """1^q 0 ...: a maximal leading run of q ones."""
-    return SymbolicPoint(Pattern.LEAD_ONES, q)
-
-
-def inner_ones(q: int) -> SymbolicPoint:
-    """0 1^q 0 ...: a completed run of q ones after a leading zero."""
-    return SymbolicPoint(Pattern.INNER_ONES, q)
-
-
 def inner_zeros(q: int) -> SymbolicPoint:
     """1 0^q 1 ...: a completed run of q zeros after a leading one."""
     return SymbolicPoint(Pattern.INNER_ZEROS, q)
 
 
 ALL_ZEROS = SymbolicPoint(Pattern.ALL_ZEROS)
-ALL_ONES = SymbolicPoint(Pattern.ALL_ONES)
 ZERO_THEN_ONES = SymbolicPoint(Pattern.ZERO_THEN_ONES)
-ONE_THEN_ZEROS = SymbolicPoint(Pattern.ONE_THEN_ZEROS)
 
 
 def _lead_run(point: SymbolicPoint) -> int | None:
-    """Length of the leading run, or None at the two constant points."""
-    if point.pattern in (Pattern.LEAD_ZEROS, Pattern.LEAD_ONES):
+    """Length of the leading run, or None at the constant point."""
+    if point.pattern is Pattern.LEAD_ZEROS:
         return point.q
-    if point.pattern in (
-        Pattern.INNER_ONES,
-        Pattern.INNER_ZEROS,
-        Pattern.ZERO_THEN_ONES,
-        Pattern.ONE_THEN_ZEROS,
-    ):
-        return 1
-    return None
+    return None if point.pattern is Pattern.ALL_ZEROS else 1  # 1 0^q 1 ... and 0 1^inf
 
 
 def potential_value(point: SymbolicPoint, eta: EtaSequence, beta: float = 1.0) -> float:
@@ -137,7 +109,7 @@ def eigenfunction(
 
     On a leading run of length n (either symbol, by 0/1 symmetry) the value
     is 1 + eta_n^-beta sum_{j>=1} eta_{n+j}^beta lam^-j, normalized to 1 at
-    the constant points.  At beta = lam = 1 this is T(n)/eta_n, and
+    the constant point.  At beta = lam = 1 this is T(n)/eta_n, and
     multiplying by eta_n gives the raw equilibrium cylinder mass T(n).
     With potential_value's potential the lam = 1 series solves L h = h at
     every beta; the lam != 1 series solves L h = lam h only when the value
@@ -232,24 +204,22 @@ def jacobian(point: SymbolicPoint, eta: EtaSequence) -> float:
     """The equilibrium Jacobian at a symbolic point (beta = 1).
 
     Continuing a run of length q >= 2 carries T(q)/T(q-1); ending a run of
-    length q carries eta_q/T(q); the constant points are fixed with J = 1;
-    the two pre-fixed points carry J = 0.  A bare length-one leading run is
-    ambiguous (J depends on the following run), so inner_ones/inner_zeros
+    length q carries eta_q/T(q); the constant point is fixed with J = 1;
+    the pre-fixed point 0 1^inf carries J = 0.  A bare length-one leading
+    run is ambiguous (J depends on the following run), so inner_zeros(q)
     must be used there.
     """
-    pat = point.pattern
-    if pat in (Pattern.LEAD_ZEROS, Pattern.LEAD_ONES):
+    if point.pattern is Pattern.LEAD_ZEROS:
         if point.q == 1:
             raise ValueError(
-                "Jacobian on a length-one leading run depends on the next run; "
-                "use inner_ones(q) or inner_zeros(q)"
+                "Jacobian on a length-one leading run depends on the next run; use inner_zeros(q)"
             )
         return float(eta.ratios(point.q - 1, point.q - 1)[0][0])
-    if pat in (Pattern.INNER_ONES, Pattern.INNER_ZEROS):
+    if point.pattern is Pattern.INNER_ZEROS:
         return float(eta.ratios(point.q, point.q)[1][0])
-    if pat in (Pattern.ALL_ZEROS, Pattern.ALL_ONES):
+    if point.pattern is Pattern.ALL_ZEROS:
         return 1.0
-    return 0.0  # 0 1^inf and 1 0^inf
+    return 0.0  # 0 1^inf
 
 
 @dataclass(frozen=True)
@@ -281,8 +251,8 @@ def check_normalization(eta: EtaSequence, states=range(1, 65)) -> NormalizationR
 def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:
     """Columns (q, rho, mu_raw, mu_norm, r, J_L) for export.
 
-    J_L is the Jacobian on a leading run of length q, undefined (nan) at
-    q = 1 where the value depends on the following run.
+    r and J_L are eigenfunction (lam = 1) and jacobian at lead_zeros(q), bit
+    for bit; J_L is nan at q = 1, where it depends on the following run.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be at least 1, got {qmax}")
@@ -292,9 +262,8 @@ def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:
     rho = eta.values[:qmax]
     mu_raw = eta.tail_grid()[:qmax]
     z = equilibrium_normalization(eta)
-    r = mu_raw / rho
-    j_l = np.full(qmax, np.nan)
-    j_l[1:] = mu_raw[1:] / mu_raw[:-1]
+    r = 1.0 + eta.tail_grid()[1 : qmax + 1] / rho
+    j_l = np.append(np.nan, eta.ratios(1, qmax)[0][:-1])  # T(q)/T(q-1), as jacobian reads it
     return {
         "q": q,
         "rho": rho,

@@ -289,6 +289,15 @@ class TestApply:
         assert rc == 2
         assert f"{bad}: {cause}\n" in capsys.readouterr().err
 
+    def test_unparsable_json_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"data": ')
+        rc = main(["apply", "--type1", "--k", "2", "--in", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"runshift apply: error: {bad}: Expecting value: line 1 column 10 (char 9)\n")
+
     def test_missing_file_exit_two(self, tmp_path):
         rc = main(["apply", "--type1", "--k", "2", "--in", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.csv")])
@@ -647,26 +656,26 @@ class TestBadInput:
         (["decay", "--family", "geometric:0.3", "--qmax", "100", "--nmax", "2000"],
          "geometric(ratio=0.3) underflows double precision at eta_620"),
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--depth", "-1"],
-         "depth must be a nonnegative integer, got -1"),
+         "argument --depth: must be at least 0, got -1"),
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,,2", "--depth", "5"],
          "--digits '0,,2'"),
         # an optional count set to 0 is named, not taken as absent; --mc has
-        # the library's sample floor as its only rule
+        # the library's sample floor as its least value
         (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "0"],
-         "need at least 1000 samples, got 0"),
+         "argument --mc: must be at least 1000, got 0"),
         (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100",
-          "--mc-paths", "0"], "argument --mc-paths: must be at least 1, got 0"),
+          "--mc-paths", "0"], "argument --mc-paths: must be at least 2, got 0"),
         (["decay", "--family", "power:3", "--qmax", "10", "--oracle-trunc", "100", "--nmax", "0"],
-         "argument --nmax: must be at least 1, got 0"),
-        # the oracle's truncation, not the ratio arrays it reads, is named
+         "argument --nmax: must be at least 8, got 0"),
+        # the oracle's truncation is named by its flag, not as the library's M
         (["decay", "--family", "stretched:0.5", "--qmax", "10", "--nmax", "8"],
-         "truncation M=10000 needs n_max >= 10000"),
+         "--oracle-trunc 10000 needs --nmax at least 10000, got 8"),
         # one path has no standard error
         (["decay", "--family", "power:3", "--qmax", "4", "--oracle-trunc", "100",
-          "--mc-paths", "1"], "n_paths must be at least 2 for a standard error, got 1"),
+          "--mc-paths", "1"], "argument --mc-paths: must be at least 2, got 1"),
         # the library's sample floor, with the count given
         (["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "500"],
-         "need at least 1000 samples, got 500"),
+         "argument --mc: must be at least 1000, got 500"),
         # the flag, its value and the least value that works, not an internal index
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--nmax", "5"],
          "--nmax 5 is too small: (Ra)_2 needs a_6, so --nmax must be at least 6"),
@@ -701,6 +710,47 @@ class TestBadInput:
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--family", "power:3", "--qmax", "4", "--mc-paths", "1"],
+        ["decay", "--family", "power:3", "--qmax", "4", "--nmax", "5"],
+        ["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--mc", "-5"],
+        ["integrate", "--k", "3", "--digits", "0,2", "--n", "2", "--depth", "-1"],
+        ["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--depth", "-1"],
+    ])
+    def test_size_flag_names_itself(self, tmp_path, capsys, argv):
+        # argparse names the flag and its least value; the library's parameter names
+        # (n_paths, n_max, samples, depth) do not appear
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be at least " in err
+        assert re.search(r"n_paths|n_max|samples|depth must", err) is None
+
+    @pytest.mark.parametrize("sizes,cause", [
+        # the default --nmax stops where the weights do, so --oracle-trunc is named
+        (["--qmax", "100"], "--oracle-trunc 10000 needs weights up to n = 10000, but "
+                            "stretched:0.9 weights are nonzero doubles only up to n = 1553"),
+        (["--qmax", "100", "--nmax", "1000"],
+         "--oracle-trunc 10000 needs --nmax at least 10000, got 1000, but stretched:0.9 "
+         "weights are nonzero doubles only up to n = 1553"),
+        (["--qmax", "2000", "--oracle-trunc", "100"],
+         "--qmax 2000 needs weights up to n = 2001, but stretched:0.9 weights are nonzero "
+         "doubles only up to n = 1553"),
+    ])
+    def test_decay_sizes_past_the_weights_name_the_flags(self, tmp_path, capsys, sizes, cause):
+        argv = ["decay", "--family", "stretched:0.9", *sizes, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert f"runshift decay: error: {cause}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes,nmax", [
+        (["--oracle-trunc", "1553"], "1553"),  # the default stops at the last nonzero weight
+        (["--oracle-trunc", "999", "--nmax", "1000"], "1000"),
+    ])
+    def test_decay_sizes_within_the_weights_run(self, tmp_path, sizes, nmax):
+        out = tmp_path / "d.csv"
+        argv = ["decay", "--family", "stretched:0.9", "--qmax", "100", *sizes, "--out", str(out)]
+        assert main(argv) == 0
+        assert read_csv(out)[0]["nmax"] == nmax
 
     @pytest.mark.parametrize("argv,least", [
         (["fixed-point", "--type2", "--k", "3", "--digits", "0,2"], 6),

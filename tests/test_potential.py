@@ -5,9 +5,7 @@ import pytest
 
 from conftest import ZETA3, transfer_ratio
 from runshift import (
-    ALL_ONES,
     ALL_ZEROS,
-    ONE_THEN_ZEROS,
     ZERO_THEN_ONES,
     EtaSequence,
     NotSummableError,
@@ -19,11 +17,9 @@ from runshift import (
     equilibrium_cylinder,
     equilibrium_normalization,
     equilibrium_table,
-    inner_ones,
     inner_zeros,
     inverse_design,
     jacobian,
-    lead_ones,
     lead_zeros,
     make_eta,
     parse_family,
@@ -49,25 +45,21 @@ class TestPotentialValue:
         assert potential_value(lead_zeros(3), geometric_half) == pytest.approx(
             -math.log(2.0), rel=1e-15, abs=0
         )
-        assert potential_value(lead_ones(3), geometric_half) == pytest.approx(
-            -math.log(2.0), rel=1e-15, abs=0
-        )
 
     def test_unit_run_value(self, power3):
         assert potential_value(lead_zeros(1), power3) == pytest.approx(
             -math.log(ZETA3), rel=1e-10, abs=0
         )
         # every length-one-run pattern sees the same value
-        assert potential_value(inner_ones(5), power3) == potential_value(
+        assert potential_value(inner_zeros(5), power3) == potential_value(
             lead_zeros(1), power3
         )
         assert potential_value(ZERO_THEN_ONES, power3) == potential_value(
-            lead_ones(1), power3
+            lead_zeros(1), power3
         )
 
     def test_fixed_points_zero(self, power3):
         assert potential_value(ALL_ZEROS, power3) == 0.0
-        assert potential_value(ALL_ONES, power3) == 0.0
 
     def test_beta_scales_run_values(self, power3):
         v1 = potential_value(lead_zeros(4), power3, beta=1.0)
@@ -146,13 +138,14 @@ class TestEigenfunction:
         )
 
     def test_symmetry(self, power3):
-        assert eigenfunction(lead_zeros(7), power3) == eigenfunction(
-            lead_ones(7), power3
+        # 1 0^7 1 ... leads with a run of one 1, so by 0 <-> 1 it has the value
+        # of the zero-led run of length one
+        assert eigenfunction(inner_zeros(7), power3) == eigenfunction(
+            lead_zeros(1), power3
         )
 
     def test_fixed_points_normalized(self, power3):
         assert eigenfunction(ALL_ZEROS, power3) == 1.0
-        assert eigenfunction(ALL_ONES, power3) == 1.0
 
     def test_supplied_eigenvalue_vs_brute_series(self, power3):
         lam, n = 2.0, 2
@@ -263,8 +256,6 @@ class TestJacobian:
 
     def test_boundary_cases(self, power3):
         assert jacobian(ALL_ZEROS, power3) == 1.0
-        assert jacobian(ALL_ONES, power3) == 1.0
-        assert jacobian(ONE_THEN_ZEROS, power3) == 0.0
         assert jacobian(ZERO_THEN_ONES, power3) == 0.0
 
     def test_unit_leading_run_ambiguous(self, power3):
@@ -272,8 +263,11 @@ class TestJacobian:
             jacobian(lead_zeros(1), power3)
 
     def test_symmetry(self, power3):
-        assert jacobian(lead_zeros(5), power3) == jacobian(lead_ones(5), power3)
-        assert jacobian(inner_ones(5), power3) == jacobian(inner_zeros(5), power3)
+        # the preimages of 0^q 1 ... are the zero-led 0^(q+1) 1 ... and the one-led
+        # 1 0^q 1 ...; J sums to 1 over them because runs of either symbol weigh alike
+        for q in (1, 5, 64):
+            total = jacobian(lead_zeros(q + 1), power3) + jacobian(inner_zeros(q), power3)
+            assert total == pytest.approx(1.0, rel=0, abs=2.0**-52)
 
     @pytest.mark.parametrize("fam,params,nmax", [
         ("geometric", {"ratio": 0.5}, 128),
@@ -307,6 +301,21 @@ class TestEquilibriumData:
         assert table["J_L"][1] == pytest.approx(
             power3.tail(2) / power3.tail(1), rel=1e-14, abs=0
         )
+
+    @pytest.mark.parametrize("spec", ["power:3", "stretched:0.5", "geometric:0.6"])
+    def test_columns_are_the_scalar_functions(self, spec):
+        # r and J_L are eigenfunction and jacobian at lead_zeros(q), bit for bit
+        eta = make_eta(*parse_family(spec), 1000)
+        table = equilibrium_table(eta, 500)
+        r = [eigenfunction(lead_zeros(q), eta) for q in range(1, 501)]
+        j_l = [jacobian(lead_zeros(q), eta) for q in range(2, 501)]
+        assert np.array_equal(table["r"], r)
+        assert np.array_equal(table["J_L"][1:], j_l)
+
+    def test_table_of_one_row(self, power3):
+        table = equilibrium_table(power3, 1)
+        assert math.isnan(table["J_L"][0])
+        assert table["r"][0] == eigenfunction(lead_zeros(1), power3)
 
     @pytest.mark.parametrize("qmax,cause", [
         (0, "qmax must be at least 1, got 0"),
