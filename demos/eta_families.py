@@ -44,7 +44,7 @@ def main():
     coeffs = coeffs_from_eta(p3)
     back = eta_from_coeffs(coeffs)
     drift = np.max(np.abs(back.values - p3.values) / p3.values)
-    print(f"a_2 = {coeffs.a_at(2):+.6f}, a_3 = {coeffs.a_at(3):+.6f}")
+    print(f"a_2 = {coeffs[0]:+.6f}, a_3 = {coeffs[1]:+.6f}")
     print(f"round-trip relative drift over {p3.n_max} indices: {drift:.2e}")
 
     print("\n== inverse design: hit a prescribed decay profile ==")

@@ -57,7 +57,7 @@ def main():
     print("\n== digit operator, k = 3, digits {0,1,2}: the interval case ==")
     coeffs, _ = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 50, depth=12)
     n = np.arange(2.0, 51.0)
-    gap = np.max(np.abs(coeffs.a + np.log(n / (n - 1.0))))
+    gap = np.max(np.abs(coeffs + np.log(n / (n - 1.0))))
     print(f"quadrature vs closed form -log(n/(n-1)): max gap {gap:.2e}")
 
     print("\n== digit operator, k = 3, digits {0,2}: middle-thirds set ==")
@@ -67,7 +67,7 @@ def main():
     image = renorm2_apply(coeffs, ds)
     res = residual(coeffs, image)
     for n in (2, 5, 20):
-        print(f"  a_{n} = {coeffs.a_at(n):+.9f}   (Ra)_{n} = {image.a_at(n):+.9f}   "
+        print(f"  a_{n} = {coeffs[n - 2]:+.9f}   (Ra)_{n} = {image[n - 2]:+.9f}   "
               f"diff {res[n - 2]:.2e} <= {(ds.l + 1) * bounds[n - 2]:.2e}")
     _require(np.all(res <= (ds.l + 1) * bounds[: res.size]),
              "a digit residual exceeds (l + 1) times its quadrature bound")
@@ -83,7 +83,7 @@ def main():
     n = np.arange(2.0, 2001.0)
     lo = (n - ds5.digits[0] / (ds5.k - 1)) ** -alpha * (1.0 - 2.0 * U) - bounds5
     hi = (n - ds5.sup) ** -alpha * (1.0 + 2.0 * U) + bounds5
-    inside = (lo <= -coeffs5.a) & (-coeffs5.a <= hi)
+    inside = (lo <= -coeffs5) & (-coeffs5 <= hi)
     print(f"alpha = {alpha:.6f}; (n - inf K)^-alpha <= -a_n <= (n - sup K)^-alpha "
           f"for all n <= 2000: {bool(inside.all())}")
     _require(inside.all(), "-a_n leaves its pointwise bracket")

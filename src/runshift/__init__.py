@@ -58,7 +58,6 @@ from .potential import (
     zero_cylinder_mass,
 )
 from .renorm import (
-    WaltersCoefficients,
     coeffs_from_eta,
     eta_from_coeffs,
     renorm1_apply,

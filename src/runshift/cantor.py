@@ -239,7 +239,7 @@ def quadrature_values(
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth}")
     ds = cm.ds
-    r = ds.digits[-1] / ((ds.k - 1) * ns)
+    r = ds.digits[-1] / ((ds.k - 1) * ns.astype(float))  # an int64 product could wrap
     coef, tail_coef, rho = _series_coefficients(cm.alpha, float(r.max()))
     P = len(coef) - 1
     m, counts = _moments(ds, P, depth)
@@ -262,7 +262,7 @@ def quadrature_values(
 
 _MC_BLOCK = 1 << 16  # most base points in one block's table
 _MC_PASSES = 32  # fewest passes, so that their spread is an honest error
-_MC_SLICE = 1 << 14  # points evaluated at once, to stay in cache
+_MC_SLICE = 1 << 14  # most points in a batch of whole passes, unless one pass is more
 
 
 def _mc_blocks(cm: CantorMeasure, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,17 +313,14 @@ def monte_carlo_integral(
     means = np.empty(passes)
     for first in range(0, passes, rows):
         stop = min(passes, first + rows)
-        batch, shifts = f[:stop - first], offsets[first:stop].tolist()
-        for lo in range(0, size, _MC_SLICE):
-            hi = min(size, lo + _MC_SLICE)
-            for x, row in zip(batch[:, lo:hi], shifts):
-                np.subtract(n, table[lo:hi], out=x)
-                for block, r in zip(lower, row):
-                    x -= block[r + lo:r + hi]
-            x = batch[:, lo:hi]  # n - t
-            np.log(x, out=x)
-            np.multiply(x, -cm.alpha, out=x)
-            np.exp(x, out=x)  # (n - t)^-alpha
+        batch = f[:stop - first]
+        for x, row in zip(batch, offsets[first:stop].tolist()):
+            np.subtract(n, table, out=x)
+            for block, r in zip(lower, row):
+                x -= block[r:r + size]
+        np.log(batch, out=batch)  # of n - t
+        np.multiply(batch, -cm.alpha, out=batch)
+        np.exp(batch, out=batch)  # (n - t)^-alpha
         np.sum(batch, axis=1, out=means[first:stop])
     means /= size
     return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)

@@ -26,7 +26,6 @@ from .decay import decay_table
 from .oracle import build_chain, correlation, sample_paths
 from .renorm import (
     InputTooShort,
-    WaltersCoefficients,
     renorm1_apply,
     renorm1_fixed_point,
     renorm2_apply,
@@ -54,6 +53,7 @@ _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # CSV and one column in JSON (which writes every cell as a float), come from one call of
 # the vectorized repr of _floattext.
 _CHUNK = 4096
+_INT64_MAX = 2**63 - 1  # the library's index arrays are int64
 
 
 def _text(parts: list) -> str:
@@ -133,14 +133,16 @@ def _depth_field(depth: int | None):
     return "exact" if depth is None else depth
 
 
-def _at_least(least: int):
-    """argparse type of an integer flag with a least value, so that a bad value such as
-    an optional count set to 0 is rejected naming its flag, not ignored or passed on."""
+def _at_least(least: int, most: int | None = None):
+    """argparse type of an integer flag with a least value and an optional greatest, so that
+    a bad value such as an optional count set to 0 is rejected naming its flag, not passed on."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse's message for text that is no integer
@@ -154,7 +156,7 @@ def _parse_digits(text: str) -> tuple[int, ...]:
         raise ValueError(f"--digits {text!r}: expected integers c_1,...,c_l") from None
 
 
-def _read_coeffs(path: str) -> WaltersCoefficients:
+def _read_coeffs(path: str) -> np.ndarray:
     """Read columns n,a of a table as ``_write_table`` writes it: CSV (``#`` lines
     ignored, the first other line may be a header) or JSON (``data.n``, ``data.a``).
     CSV rows are parsed by one ``np.loadtxt``, and walked one by one only to name a
@@ -192,7 +194,7 @@ def _read_coeffs(path: str) -> WaltersCoefficients:
     ns = np.trunc(np.asarray(ns, dtype=float))
     if not ns.size or not np.array_equal(ns, np.arange(2, 2 + ns.size)):
         raise ValueError(f"{path}: expected consecutive rows n=2,3,... with columns n,a")
-    return WaltersCoefficients(np.array(vals))
+    return np.array(vals, dtype=float)
 
 
 def _is_header(line: str) -> bool:
@@ -251,38 +253,37 @@ def _cmd_fixed_point(args) -> int:
     if args.type1:
         if args.a2 is None:
             raise ValueError("--type1 needs --a2")
-        coeffs = renorm1_fixed_point(args.k, args.a2, args.nmax)
+        a = renorm1_fixed_point(args.k, args.a2, args.nmax)
         meta["a2"] = args.a2
     else:
-        coeffs, _ = renorm2_fixed_point(ds, args.nmax, depth=args.depth)
+        a, _ = renorm2_fixed_point(ds, args.nmax, depth=args.depth)
         meta.update(depth=_depth_field(args.depth), alpha=ds.hausdorff_alpha)
     meta["nmax"] = args.nmax
     try:
-        image = operator(coeffs)
+        image = operator(a)
     except InputTooShort as exc:
         raise ValueError(f"--nmax {args.nmax} is too small: (Ra)_2 needs a_{exc.required}, "
                          f"so --nmax must be at least {exc.required}") from None
-    res = residual(coeffs, image)
-    pad = np.full(coeffs.a.size - res.size, np.nan)  # where (Ra)_n needs a_i past n_max
+    res = residual(a, image)
+    pad = np.full(a.size - res.size, np.nan)  # where (Ra)_n needs a_i past n_max
     return _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
-                        {"n": np.arange(2, coeffs.n_max + 1), "a": coeffs.a,
-                         "Ra": np.concatenate([image.a, pad]),
+                        {"n": np.arange(2, a.size + 2), "a": a,
+                         "Ra": np.concatenate([image, pad]),
                          "residual": np.concatenate([res, pad])},
                         f"sup residual {float(res.max())!r} over {res.size} indices")
 
 
 def _cmd_apply(args) -> int:
     operator, fields, _ = _select_operator(args)
-    coeffs = _read_coeffs(args.infile)
+    a = _read_coeffs(args.infile)
     try:
-        image = operator(coeffs)
+        image = operator(a)
     except InputTooShort as exc:
-        raise ValueError(f"{args.infile}: rows n=2..{coeffs.n_max} are too few, "
+        raise ValueError(f"{args.infile}: rows n=2..{a.size + 1} are too few, "
                          f"(Ra)_2 needs a_{exc.required}") from None
     meta = {"command": "apply", **fields, "in": args.infile}
-    n = np.arange(2, image.n_max + 1)
-    return _write_table(args, "applied.csv", meta, {"n": n, "a": image.a},
-                        f"{image.a.size} rows")
+    return _write_table(args, "applied.csv", meta, {"n": np.arange(2, image.size + 2), "a": image},
+                        f"{image.size} rows")
 
 
 def _cmd_integrate(args) -> int:
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         kind = p.add_mutually_exclusive_group(required=True)
         kind.add_argument("--type1", action="store_true", help="block operator")
         kind.add_argument("--type2", action="store_true", help="digit operator (needs --digits)")
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--k", type=_at_least(2, _INT64_MAX), required=True)
         p.add_argument("--digits", help="comma list c_1,...,c_l (type 2)")
 
     p = command("eta", _cmd_eta, "tabulate a weight family: n, eta, T, a")
@@ -416,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="CSV or JSON table with columns n,a")
 
     p = command("integrate", _cmd_integrate, "Cantor-measure kernel integral: n, I, bound")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(2, _INT64_MAX), required=True)
     p.add_argument("--digits", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(2, _INT64_MAX), required=True)
     p.add_argument("--depth", type=_at_least(0),
                    help="midpoint-rule depth (default: the exact series)")
     p.add_argument("--mc", type=_at_least(1000),

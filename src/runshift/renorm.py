@@ -14,15 +14,15 @@ evaluates it through the index map alone, for two offset sets:
   whose fixed point is minus the Cantor-measure kernel integral from
   runshift.cantor.
 
-Results are plain arrays: a fixed point is its coefficients with, for the
-digit operator, the per-index bounds of ``quadrature_values``, and
+Coefficients are plain float64 arrays with ``a[i] = a_{i+2}``, without the
+value on the length-one runs.  A fixed point is its coefficients with, for
+the digit operator, the per-index bounds of ``quadrature_values``, and
 ``residual`` gives |a_n - (Ra)_n| for each n the image defines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .cantor import CantorMeasure, DigitSystem, _digit_sums, quadrature_values
 from .sequences import EtaSequence
 
 __all__ = [
-    "WaltersCoefficients",
     "coeffs_from_eta",
     "eta_from_coeffs",
     "InputTooShort",
@@ -43,31 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class WaltersCoefficients:
-    """Run coefficients a_2, a_3, ... of a Walters-class potential; ``a[i]``
-    stores a_{i+2}.  The value on the length-one runs is not part of it."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", arr)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("need at least a_2")
-
-    @property
-    def n_max(self) -> int:
-        """Largest defined index: a_2..a_{n_max}."""
-        return self.a.size + 1
-
-    def a_at(self, n: int) -> float:
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"a_{n} is not defined (have a_2..a_{self.n_max})")
-        return float(self.a[n - 2])
-
-
-def coeffs_from_eta(eta: EtaSequence) -> WaltersCoefficients:
+def coeffs_from_eta(eta: EtaSequence) -> np.ndarray:
     """Coefficients with e^{a_q} = eta_q / eta_{q-1}; requires eta_1 = 1.
 
     With the convention eta_q = e^{a_2 + ... + a_q} the Jacobian rows sum
@@ -75,17 +50,17 @@ def coeffs_from_eta(eta: EtaSequence) -> WaltersCoefficients:
     """
     if abs(eta.values[0] - 1.0) > 2**-53:  # the scaled route may leave eta_1 one ulp below 1
         raise ValueError("eta_1 != 1; normalize first with eta.scaled(1 / eta.eta(1))")
-    return WaltersCoefficients(np.log(eta.values[1:] / eta.values[:-1]))
+    return np.log(eta.values[1:] / eta.values[:-1])
 
 
-def eta_from_coeffs(coeffs: WaltersCoefficients) -> EtaSequence:
+def eta_from_coeffs(a: np.ndarray) -> EtaSequence:
     """eta_q = e^{a_2 + ... + a_q} with eta_1 = 1.
 
     The result has no analytic tail model, so certified tails refuse
     tolerances below the truncation floor.
     """
     # extended-precision accumulation keeps the round trip at the ulp scale
-    partial = np.cumsum(coeffs.a.astype(np.longdouble))
+    partial = np.cumsum(np.asarray(a, dtype=np.longdouble))
     values = np.concatenate([[1.0], np.exp(partial).astype(float)])
     return EtaSequence(values)
 
@@ -98,32 +73,35 @@ class InputTooShort(ValueError):
         self.required = required
 
 
-def _offset_apply(coeffs: WaltersCoefficients, k: int, offsets) -> WaltersCoefficients:
-    """(Ra)_n = sum of a_{k n - c} over c in ``offsets``, added in the order
-    given, for n = 2 up to the last n whose every index the input holds."""
-    low = min(offsets)
-    n_top = (coeffs.n_max + low) // k
+def _offset_apply(a: np.ndarray, k: int, offsets) -> np.ndarray:
+    """(Ra)_n = sum of a_{k n - c} over c in the monotone ``offsets``, added in
+    the order given, for n = 2 up to the last n whose every index the input holds."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"coefficients must be a 1-d array a_2, a_3, ..., got shape {a.shape}")
+    low = min(offsets[0], offsets[-1])  # not min(offsets), which walks all k of a block
+    n_top = (a.size + 1 + low) // k
     if n_top < 2:
         raise InputTooShort(2 * k - low)
     ns = np.arange(2, n_top + 1)
     out = np.zeros(ns.size)
     for c in offsets:
-        out += coeffs.a[k * ns - c - 2]
-    return WaltersCoefficients(out)
+        out += a[k * ns - c - 2]
+    return out
 
 
 # -- first type: block sums over k consecutive indices ---------------------
 
 
-def renorm1_apply(coeffs: WaltersCoefficients, k: int) -> WaltersCoefficients:
+def renorm1_apply(a: np.ndarray, k: int) -> np.ndarray:
     """(Ra)_n = a_{k(n-2)+3} + ... + a_{k(n-1)+2} for n >= 2, added lowest
     index first: the offsets 2k-3, ..., k-2."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return _offset_apply(coeffs, k, range(2 * k - 3, k - 3, -1))
+    return _offset_apply(a, k, range(2 * k - 3, k - 3, -1))
 
 
-def renorm1_fixed_point(k: int, a2: float, n_max: int) -> WaltersCoefficients:
+def renorm1_fixed_point(k: int, a2: float, n_max: int) -> np.ndarray:
     """Fixed point of the block operator with free parameter a_2.
 
     alpha(2) solves a_2 = -log((2 + alpha)/(1 + alpha)); each block
@@ -133,33 +111,38 @@ def renorm1_fixed_point(k: int, a2: float, n_max: int) -> WaltersCoefficients:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if a2 >= 0.0:
-        raise ValueError("a_2 must be negative")
+    if not a2 < 0.0:
+        raise ValueError(f"a_2 must be negative, got {a2!r}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    big = math.exp(-a2)
+    try:
+        big = math.exp(-a2)
+        alpha2 = (2.0 - big) / (big - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        alpha2 = math.nan
+    if not math.isfinite(alpha2):
+        raise ValueError(f"a_2 = {a2!r} gives no finite alpha(2) = (2 - e^-a_2)/(e^-a_2 - 1)")
     alpha = np.empty(n_max + 1)
-    alpha[2] = (2.0 - big) / (big - 1.0)
-    # one level at a time: the blocks of indices lo..hi are the indices first..last
+    alpha[2] = alpha2
+    # one level at a time: index i in first..last takes alpha of lo + (i - first) // k
     lo = hi = 2
     while (first := k * (lo - 2) + 3) <= n_max:
         last = min(k * (hi - 1) + 2, n_max)
-        blocks = np.repeat(k * alpha[lo : hi + 1] + (k - 2), k)
-        alpha[first : last + 1] = blocks[: last - first + 1]
+        alpha[first : last + 1] = k * alpha[lo + np.arange(last - first + 1) // k] + (k - 2)
         lo, hi = first, last
     shifted = np.arange(2.0, n_max + 1.0) + alpha[2:] - 1.0
     if np.any(shifted <= 0.0):
         bad = int(np.argmax(shifted <= 0.0)) + 2
         raise ValueError(f"recursion leaves n + alpha(n) - 1 <= 0 at n = {bad}")
-    return WaltersCoefficients(-np.log1p(1.0 / shifted))
+    return -np.log1p(1.0 / shifted)
 
 
 # -- second type: digit sums ------------------------------------------------
 
 
-def renorm2_apply(coeffs: WaltersCoefficients, ds: DigitSystem) -> WaltersCoefficients:
+def renorm2_apply(a: np.ndarray, ds: DigitSystem) -> np.ndarray:
     """(Ra)_n = sum_i a_{k n - c_i} for n >= 2."""
-    return _offset_apply(coeffs, ds.k, ds.digits)
+    return _offset_apply(a, ds.k, ds.digits)
 
 
 def renorm2_digit_indices(ds: DigitSystem, n_fold: int) -> np.ndarray:
@@ -177,7 +160,7 @@ def renorm2_digit_indices(ds: DigitSystem, n_fold: int) -> np.ndarray:
 
 def renorm2_fixed_point(
     ds: DigitSystem, n_max: int, depth: int | None = None
-) -> tuple[WaltersCoefficients, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the digit operator from the Cantor-measure integral,
     with the certified bound of each a_n.
 
@@ -191,13 +174,13 @@ def renorm2_fixed_point(
         raise ValueError("n_max must be at least 2")
     ns = np.arange(2, n_max + 1)
     vals, bounds = quadrature_values(CantorMeasure(ds), ns, depth)
-    return WaltersCoefficients(-vals), bounds
+    return -vals, bounds
 
 
 # -- verification -----------------------------------------------------------
 
 
-def residual(coeffs: WaltersCoefficients, image: WaltersCoefficients) -> np.ndarray:
-    """|a_n - (Ra)_n| for n = 2..image.n_max, where ``image`` is the operator
-    applied to ``coeffs``."""
-    return np.abs(coeffs.a[: image.a.size] - image.a)
+def residual(a: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """|a_n - (Ra)_n| for n = 2, ..., image.size + 1, where ``image`` is the
+    operator applied to ``a``; entry i is that of n = i + 2."""
+    return np.abs(a[: image.size] - image)

@@ -73,7 +73,7 @@ def test_criterion_2_digit_fixed_point_residuals():
     # closed-form control: the l = k case against -log(n/(n-1))
     coeffs, _ = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 1000, depth=10)
     n = np.arange(2.0, 1001.0)
-    gap = float(np.max(np.abs(coeffs.a + np.log(n / (n - 1.0)))))
+    gap = float(np.max(np.abs(coeffs + np.log(n / (n - 1.0)))))
     ok &= gap <= 1e-8
     _report(2, ok, "; ".join(details) + f"; closed-form gap {gap:.2e} (<=1e-8)")
 
@@ -84,21 +84,18 @@ def test_criterion_3_digit_lemma():
     rng = np.random.default_rng(2)
     ok = True
     for n_fold in range(1, 6):
-        from runshift import WaltersCoefficients
-
         a = rng.integers(-9, 10, size=3**n_fold * 6 + 20).astype(float)
-        coeffs = WaltersCoefficients(a)
-        composed = coeffs
+        composed = a
         for _ in range(n_fold):
             composed = renorm2_apply(composed, ds)
         js = renorm2_digit_indices(ds, n_fold)
         direct = np.array(
             [
-                sum(coeffs.a_at(3**n_fold * n - int(j)) for j in js)
-                for n in range(2, composed.n_max + 1)
+                sum(a[3**n_fold * n - int(j) - 2] for j in js)
+                for n in range(2, composed.size + 2)
             ]
         )
-        ok &= bool(np.array_equal(composed.a, direct))
+        ok &= bool(np.array_equal(composed, direct))
     _report(3, ok, "N-fold digit action equals one-pass offset sums exactly, N<=5")
 
 

@@ -52,6 +52,13 @@ class TestDigitGeometry:
 
 
 class TestQuadrature:
+    def test_index_whose_product_with_k_minus_1_passes_int64(self, middle_thirds):
+        # (k - 1) n = 2 n is past 2^63 - 1: r = sup K / ((k - 1) n) must not wrap
+        n = np.iinfo(np.int64).max
+        value, bound = quadrature(middle_thirds, n)
+        assert value == pytest.approx(float(n) ** -LOG2_LOG3, rel=1e-14, abs=0)
+        assert 0.0 < bound <= 1e-14 * value
+
     def test_lebesgue_closed_form(self, lebesgue3):
         # I(n) = log(n/(n-1)); the midpoint equals the cylinder mean here,
         # so depth 14 is far inside the printed tolerance 3^-20
@@ -371,6 +378,53 @@ def sequential_monte_carlo(cm, n, samples, seed):
         means.append(np.sum(np.exp(-cm.alpha * np.log(x))) / size)
     means = np.array(means)
     return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)
+
+
+def sliced_monte_carlo(cm, n, samples, seed, slice_size=1 << 14):
+    """The sampler as it was with an inner loop over slices of slice_size points in
+    each batch of passes: the log, multiply and exp went slice by slice."""
+    table, weights = _mc_blocks(cm, samples)
+    size = table.size
+    passes = samples // size
+    offsets = np.random.default_rng(seed).integers(0, size, size=(passes, weights.size - 1))
+    lower = [np.tile(table * w, 2) for w in weights[1:]]
+    rows = max(1, slice_size // size)
+    f = np.empty((rows, size))
+    means = np.empty(passes)
+    for first in range(0, passes, rows):
+        stop = min(passes, first + rows)
+        batch, shifts = f[:stop - first], offsets[first:stop].tolist()
+        for lo in range(0, size, slice_size):
+            hi = min(size, lo + slice_size)
+            for x, row in zip(batch[:, lo:hi], shifts):
+                np.subtract(n, table[lo:hi], out=x)
+                for block, r in zip(lower, row):
+                    x -= block[r + lo:r + hi]
+            x = batch[:, lo:hi]
+            np.log(x, out=x)
+            np.multiply(x, -cm.alpha, out=x)
+            np.exp(x, out=x)
+        np.sum(batch, axis=1, out=means[first:stop])
+    means /= size
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)
+
+
+class TestWholeBatch:
+    """One log, multiply and exp per batch of passes gives the sliced loop's bits."""
+
+    def test_one_pass_a_batch(self, middle_thirds):
+        # a 65536-point table: each batch is one pass, once cut into four slices
+        assert _mc_blocks(middle_thirds, 4_000_000)[0].size > 1 << 14
+        got = monte_carlo_integral(middle_thirds, 2, 4_000_000, 5)
+        assert got == sliced_monte_carlo(middle_thirds, 2, 4_000_000, 5)
+
+    @pytest.mark.parametrize("k,digits", [(3, (0, 2)), (4, (0, 1, 3))], ids=["l2", "l3"])
+    def test_several_passes_a_batch(self, k, digits):
+        cm = CantorMeasure(DigitSystem(k, digits))
+        assert _mc_blocks(cm, 20_000)[0].size < 1 << 13
+        for seed in (0, 11):
+            got = monte_carlo_integral(cm, 3, 20_000, seed)
+            assert got == sliced_monte_carlo(cm, 3, 20_000, seed)
 
 
 class TestDrawAhead:

@@ -211,7 +211,7 @@ class TestApply:
         _, image = read_csv(out)
         assert image["a"].size == np.count_nonzero(~np.isnan(ra))
         assert np.array_equal(image["a"], np.asarray(ra)[: image["a"].size])
-        assert np.array_equal(_read_coeffs(str(fp)).a, reference_read_coeffs(str(fp)))
+        assert np.array_equal(_read_coeffs(str(fp)), reference_read_coeffs(str(fp)))
 
     @pytest.mark.parametrize("name,text", [
         ("no-header.csv", "2,-0.5\n3,-0.25\n4,-0.125\n"),
@@ -228,7 +228,7 @@ class TestApply:
     def test_reader_matches_row_walk(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_bytes(text.encode())
-        got = _read_coeffs(str(path)).a
+        got = _read_coeffs(str(path))
         assert np.array_equal(got, reference_read_coeffs(str(path)), equal_nan=True)
 
     @pytest.mark.parametrize("text", [
@@ -725,6 +725,35 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be at least " in err
         assert re.search(r"n_paths|n_max|samples|depth must", err) is None
+
+    @pytest.mark.parametrize("a2", ["nan", "-inf", "-800", "-1e-17"])
+    def test_a2_without_finite_alpha_names_a2(self, tmp_path, capsys, a2):
+        # nan and -inf once wrote a table of nan and exited 0; -800 and -1e-17 exited 1
+        # with an internal error from e^-a_2 and its division
+        out = tmp_path / "x.csv"
+        assert main(["fixed-point", "--type1", "--k", "2", f"--a2={a2}", "--out", str(out)]) == 2
+        assert "runshift fixed-point: error: a_2 " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--n", ["integrate", "--k", "3", "--digits", "0,2", "--n", str(10**20)]),
+        ("--n", ["integrate", "--k", "3", "--digits", "0,2", "--n", str(2**63)]),
+        ("--k", ["integrate", "--k", str(10**20), "--digits", "0,2", "--n", "2"]),
+        ("--k", ["fixed-point", "--type1", "--k", str(10**20), "--a2=-1"]),
+        ("--k", ["apply", "--type2", "--k", str(-(2**63) - 1), "--digits", "0,2", "--in", "x"]),
+    ])
+    def test_index_flag_past_int64_names_itself(self, tmp_path, capsys, flag, argv):
+        # 10^20 once exited 1: "Python int too large to convert to C long"
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: argument {flag}: must be at " in capsys.readouterr().err
+
+    def test_largest_int64_index_has_a_positive_bound(self, tmp_path):
+        # 2 n wrapped in int64 arithmetic and the bound came out -3.4e-13
+        out = tmp_path / "x.csv"
+        n = str(2**63 - 1)
+        assert main(["integrate", "--k", "3", "--digits", "0,2", "--n", n, "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert 0.0 < data["bound"][0] <= 1e-14 * data["I"][0]
 
     @pytest.mark.parametrize("sizes,cause", [
         # the default --nmax stops where the weights do, so --oracle-trunc is named

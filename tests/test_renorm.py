@@ -7,7 +7,6 @@ import pytest
 from runshift import (
     CantorMeasure,
     DigitSystem,
-    WaltersCoefficients,
     coeffs_from_eta,
     eta_from_coeffs,
     make_eta,
@@ -19,12 +18,13 @@ from runshift import (
     renorm2_fixed_point,
     residual,
 )
+from runshift.renorm import InputTooShort, _offset_apply
 
 
 def hofbauer(n_max):
     """a_n = -log(n/(n-1)), the eta_n = 1/n coefficient sequence."""
     n = np.arange(2.0, n_max + 1.0)
-    return WaltersCoefficients(-np.log(n / (n - 1.0)))
+    return -np.log(n / (n - 1.0))
 
 
 def reference_block_fixed_point(k, a2, n_max):
@@ -46,7 +46,7 @@ def reference_block_fixed_point(k, a2, n_max):
 class TestConversions:
     def test_geometric_coeffs_constant(self, geometric_half):
         coeffs = coeffs_from_eta(geometric_half)
-        assert np.allclose(coeffs.a, -math.log(2.0), rtol=0, atol=1e-15)
+        assert np.allclose(coeffs, -math.log(2.0), rtol=0, atol=1e-15)
 
     def test_hofbauer_telescoping(self):
         eta = eta_from_coeffs(hofbauer(200))
@@ -80,18 +80,18 @@ class TestBlockOperator:
         coeffs = hofbauer(100)
         image = renorm1_apply(coeffs, 2)
         # (Ra)_2 = a_3 + a_4 = -log 2 = a_2, and so on
-        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
-        assert np.allclose(image.a, coeffs.a[: image.a.size], atol=1e-15)
+        assert image[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
+        assert np.allclose(image, coeffs[: image.size], atol=1e-15)
 
     def test_zero_sequence_fixed(self):
-        coeffs = WaltersCoefficients(np.zeros(50))
-        assert np.all(renorm1_apply(coeffs, 3).a == 0.0)
+        coeffs = np.zeros(50)
+        assert np.all(renorm1_apply(coeffs, 3) == 0.0)
 
     def test_hofbauer_not_fixed_under_k3(self):
         image = renorm1_apply(hofbauer(100), 3)
         # a_3 + a_4 + a_5 = -log(5/2) != a_2
-        assert image.a[0] == pytest.approx(-math.log(2.5), rel=1e-14, abs=0)
-        assert abs(image.a[0] - (-math.log(2.0))) > 0.2
+        assert image[0] == pytest.approx(-math.log(2.5), rel=1e-14, abs=0)
+        assert abs(image[0] - (-math.log(2.0))) > 0.2
 
 
 U = 2.0**-53
@@ -101,20 +101,20 @@ class TestOneKernel:
     """The block operator is the offset sum over C = {k-2, ..., 2k-3}."""
 
     def test_k2_is_digit_operator_01(self):
-        c = WaltersCoefficients(np.random.default_rng(3).normal(size=999))
+        c = np.random.default_rng(3).normal(size=999)
         block = renorm1_apply(c, 2)
         digit = renorm2_apply(c, DigitSystem(2, (0, 1)))
-        assert np.array_equal(block.a, digit.a)
+        assert np.array_equal(block, digit)
 
     def test_k3_is_digit_operator_123(self):
         # same three terms, summed in opposite orders: each sum errs by at
         # most 2u times the sum of |terms| (to first order), so they differ
         # by at most 4u times it
         c = hofbauer(3000)
-        block = renorm1_apply(c, 3).a
-        digit = renorm2_apply(c, DigitSystem(3, (1, 2, 3))).a
+        block = renorm1_apply(c, 3)
+        digit = renorm2_apply(c, DigitSystem(3, (1, 2, 3)))
         n = np.arange(2, block.size + 2)
-        terms = sum(np.abs(c.a[3 * n - j - 2]) for j in (1, 2, 3))
+        terms = sum(np.abs(c[3 * n - j - 2]) for j in (1, 2, 3))
         assert np.all(np.abs(block - digit) <= 4.0 * U * terms)
 
     @pytest.mark.parametrize("operator,first", [
@@ -124,15 +124,24 @@ class TestOneKernel:
     def test_too_short_names_first_index(self, operator, first):
         # (Ra)_2 needs a_{2k - min C}; a_2..a_{first-1} stops one short
         with pytest.raises(ValueError, match=f"input too short: a_{first} required for"):
-            operator(WaltersCoefficients(np.zeros(first - 2)))
-        assert operator(WaltersCoefficients(np.zeros(first - 1))).n_max == 2
+            operator(np.zeros(first - 2))
+        assert operator(np.zeros(first - 1)).size == 1
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"1-d array a_2, a_3, \.\.\., got shape \(2, 50\)"):
+            _offset_apply(np.zeros((2, 50)), 2, (0, 1))
+
+    def test_too_short_for_a_block_of_2_to_62_found_at_once(self):
+        # (Ra)_2 needs a_{k + 2}; finding that out must not walk the k offsets
+        with pytest.raises(InputTooShort, match=f"a_{2**62 + 2} required"):
+            renorm1_apply(np.zeros(100), 2**62)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_block_reshape(self, k):
         c = renorm1_fixed_point(3, -1.0, 5001)
-        m = (c.n_max - 2) // k
-        reference = c.a[1 : 1 + k * m].reshape(m, k).sum(axis=1)
-        got = renorm1_apply(c, k).a
+        m = (c.size - 1) // k
+        reference = c[1 : 1 + k * m].reshape(m, k).sum(axis=1)
+        got = renorm1_apply(c, k)
         if k < 8:
             # numpy sums fewer than 8 terms left to right, as the kernel does
             assert np.array_equal(got, reference)
@@ -145,16 +154,16 @@ class TestBlockFixedPoint:
     def test_canonical_case_is_hofbauer(self):
         coeffs = renorm1_fixed_point(2, -math.log(2.0), 500)
         n = np.arange(2.0, 501.0)
-        assert np.max(np.abs(coeffs.a + np.log(n / (n - 1.0)))) < 1e-14
+        assert np.max(np.abs(coeffs + np.log(n / (n - 1.0)))) < 1e-14
         eta = eta_from_coeffs(coeffs)
         assert np.allclose(eta.values, 1.0 / np.arange(1.0, 501.0), rtol=1e-12)
 
     def test_log3_case_by_hand(self):
         coeffs = renorm1_fixed_point(2, -math.log(3.0), 10)
         # alpha(2) = -1/2 gives a_3 = -log 2, a_4 = -log(3/2)
-        assert coeffs.a_at(3) == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
-        assert coeffs.a_at(4) == pytest.approx(-math.log(1.5), rel=1e-14, abs=0)
-        assert coeffs.a_at(3) + coeffs.a_at(4) == pytest.approx(
+        assert coeffs[1] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
+        assert coeffs[2] == pytest.approx(-math.log(1.5), rel=1e-14, abs=0)
+        assert coeffs[1] + coeffs[2] == pytest.approx(
             -math.log(3.0), rel=1e-14, abs=0
         )
 
@@ -173,7 +182,7 @@ class TestBlockFixedPoint:
         # n = k + 1's block and one past it, and several levels deep
         for n_max in (2, 3, k + 2, k * k + 2, k * k + 3, 5000):
             got = renorm1_fixed_point(k, a2, n_max)
-            assert np.array_equal(got.a, reference_block_fixed_point(k, a2, n_max)), n_max
+            assert np.array_equal(got, reference_block_fixed_point(k, a2, n_max)), n_max
 
     def test_nonpositive_shift_rejected(self):
         # a_2 = -40 rounds alpha(2) to -1, so n + alpha(n) - 1 = 0 at n = 2
@@ -184,6 +193,24 @@ class TestBlockFixedPoint:
         with pytest.raises(ValueError):
             renorm1_fixed_point(2, 0.1, 100)
 
+    @pytest.mark.parametrize("a2", [math.nan, -math.inf, -800.0, -1e-17])
+    def test_a2_without_finite_alpha_rejected(self, a2):
+        # nan and -inf once gave a table of nan, -800 overflowed e^-a_2 and -1e-17
+        # divided by e^-a_2 - 1 = 0
+        with pytest.raises(ValueError, match=r"a_2"):
+            renorm1_fixed_point(2, a2, 100)
+
+    def test_a2_next_to_zero_runs(self):
+        # e^-a_2 = 1 + 2^-52, so alpha(2) is finite, about 2^52
+        assert np.array_equal(renorm1_fixed_point(2, -3e-16, 10),
+                              reference_block_fixed_point(2, -3e-16, 10))
+
+    def test_block_of_2_to_62_indices(self):
+        # one block covers a_3..a_50: alpha is filled index by index, not by a k-fold repeat
+        k = 2**62
+        assert np.array_equal(renorm1_fixed_point(k, -1.0, 50),
+                              reference_block_fixed_point(k, -1.0, 50))
+
 
 class TestDigitOperator:
     def test_index_arithmetic(self):
@@ -191,18 +218,18 @@ class TestDigitOperator:
         a = np.zeros(10)
         a[6 - 2] = 5.0
         a[4 - 2] = 11.0
-        image = renorm2_apply(WaltersCoefficients(a), DigitSystem(3, (0, 2)))
-        assert image.a[0] == 16.0
+        image = renorm2_apply(a, DigitSystem(3, (0, 2)))
+        assert image[0] == 16.0
 
     def test_hofbauer_fixed_in_lebesgue_case(self):
         image = renorm2_apply(hofbauer(100), DigitSystem(3, (0, 1, 2)))
         # -log(6/5) - log(5/4) - log(4/3) = -log 2
-        assert image.a[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
-        assert np.allclose(image.a, hofbauer(100).a[: image.a.size], atol=1e-14)
+        assert image[0] == pytest.approx(-math.log(2.0), rel=1e-14, abs=0)
+        assert np.allclose(image, hofbauer(100)[: image.size], atol=1e-14)
 
     def test_zero_fixed(self):
-        image = renorm2_apply(WaltersCoefficients(np.zeros(30)), DigitSystem(3, (0, 2)))
-        assert np.all(image.a == 0.0)
+        image = renorm2_apply(np.zeros(30), DigitSystem(3, (0, 2)))
+        assert np.all(image == 0.0)
 
     def test_digit_system_validation(self):
         with pytest.raises(ValueError):
@@ -231,16 +258,15 @@ class TestDigitLemma:
         ds = DigitSystem(3, (0, 2))
         rng = np.random.default_rng(11)
         a = rng.integers(-50, 50, size=3**n_fold * 8 + 16).astype(float)
-        coeffs = WaltersCoefficients(a)
-        composed = coeffs
+        composed = a
         for _ in range(n_fold):
             composed = renorm2_apply(composed, ds)
         js = renorm2_digit_indices(ds, n_fold)
-        n_top = composed.n_max
+        n_top = composed.size + 1
         direct = np.array(
-            [sum(coeffs.a_at(3**n_fold * n - j) for j in js) for n in range(2, n_top + 1)]
+            [sum(a[3**n_fold * n - j - 2] for j in js) for n in range(2, n_top + 1)]
         )
-        assert np.array_equal(composed.a, direct)
+        assert np.array_equal(composed, direct)
 
     def test_multiplicity_preserved(self):
         # digits {0,1,3} in base 3 collide: 3 = 3*1 + 0 = 0 + 3
@@ -268,15 +294,15 @@ class TestDigitFixedPoint:
     def test_lebesgue_case_closed_form(self):
         coeffs, _ = renorm2_fixed_point(DigitSystem(3, (0, 1, 2)), 60, depth=12)
         n = np.arange(2.0, 61.0)
-        assert np.max(np.abs(coeffs.a + np.log(n / (n - 1.0)))) < 1e-8
+        assert np.max(np.abs(coeffs + np.log(n / (n - 1.0)))) < 1e-8
 
     def test_returns_coeffs_and_bounds(self):
         ds = DigitSystem(3, (0, 2))
         coeffs, bounds = renorm2_fixed_point(ds, 40, depth=10)
-        assert isinstance(coeffs, WaltersCoefficients) and coeffs.n_max == 40
-        assert isinstance(bounds, np.ndarray) and bounds.shape == coeffs.a.shape
+        assert isinstance(coeffs, np.ndarray) and coeffs.shape == (39,)  # a_2..a_40
+        assert isinstance(bounds, np.ndarray) and bounds.shape == coeffs.shape
         vals, want = quadrature_values(CantorMeasure(ds), np.arange(2, 41), 10)
-        assert np.array_equal(coeffs.a, -vals) and np.array_equal(bounds, want)
+        assert np.array_equal(coeffs, -vals) and np.array_equal(bounds, want)
 
     def test_self_similarity_residual(self):
         ds = DigitSystem(3, (0, 2))
@@ -296,7 +322,7 @@ class TestDigitFixedPoint:
         n = np.arange(2.0, 2001.0)
         lo = (n - ds.digits[0] / (ds.k - 1)) ** -alpha * (1.0 - 2.0 * u) - bounds
         hi = (n - ds.sup) ** -alpha * (1.0 + 2.0 * u) + bounds
-        assert np.all((lo <= -coeffs.a) & (-coeffs.a <= hi))
+        assert np.all((lo <= -coeffs) & (-coeffs <= hi))
         # summed: -log eta_2000 = sum of -a_n, so eta_n is of order exp(-n^(1-alpha)/(1-alpha));
         # the slack covers the cumsum, exp and log between the two
         minus_log = -math.log(eta.values[-1])
@@ -307,12 +333,12 @@ class TestDigitFixedPoint:
 class TestResidualOp:
     def test_perturbation_detected(self):
         coeffs = renorm1_fixed_point(2, -math.log(2.0), 200)
-        bumped = WaltersCoefficients(coeffs.a.copy())
-        bumped.a[2] += 1e-3
+        bumped = coeffs.copy()
+        bumped[2] += 1e-3
         assert residual(bumped, renorm1_apply(bumped, 2)).max() >= 1e-3
 
     def test_zero_residual_for_zero(self):
-        zero = WaltersCoefficients(np.zeros(64))
+        zero = np.zeros(64)
         assert np.all(residual(zero, renorm1_apply(zero, 2)) == 0.0)
 
     @pytest.mark.parametrize("apply", [
@@ -322,10 +348,10 @@ class TestResidualOp:
         functools.partial(renorm2_apply, ds=DigitSystem(3, (0, 2))),
     ], ids=["block-2", "block-3", "block-4", "digit-3-02"])
     def test_is_elementwise_difference(self, apply):
-        # residual(coeffs, image)[i] is |a_{i+2} - (Ra)_{i+2}| for n = 2..(Ra).n_max
-        coeffs = WaltersCoefficients(np.random.default_rng(5).normal(size=500))
+        # residual(coeffs, image)[i] is |a_{i+2} - (Ra)_{i+2}| for n = 2..image.size + 1
+        coeffs = np.random.default_rng(5).normal(size=500)
         image = apply(coeffs)
         res = residual(coeffs, image)
-        assert res.size == image.n_max - 1
-        want = [abs(coeffs.a_at(n) - image.a_at(n)) for n in range(2, image.n_max + 1)]
+        assert res.size == image.size
+        want = [abs(coeffs[n - 2] - image[n - 2]) for n in range(2, image.size + 2)]
         assert np.array_equal(res, want)
