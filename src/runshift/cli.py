@@ -54,6 +54,12 @@ _JSON_SEP = np.frombuffer(b",\n   ", np.uint8)
 # the vectorized repr of _floattext.
 _CHUNK = 4096
 _INT64_MAX = 2**63 - 1  # the library's index arrays are int64
+# numpy refuses an array of more than 2^63 - 1 bytes with an error that names no flag;
+# at most 2^59 rows keep float64 arrays of up to twice as many rows under that, so a size
+# too large for the memory raises MemoryError instead, which main reports naming the sizes
+_MAX_ROWS = 2**59
+_SIZE_FLAGS = ("nmax", "qmax", "oracle_trunc", "mc_paths", "mc")
+_MAX_DEPTH = 1075  # k^-depth is 0.0 in double past it for every k >= 2: 2.0**-1075 == 0.0
 
 
 def _text(parts: list) -> str:
@@ -227,7 +233,10 @@ def _walk_rows(path: str, rows: list) -> tuple[list, list]:
 
 def _select_operator(args) -> tuple[functools.partial, dict, DigitSystem | None]:
     """The operator --type1 / --type2 name, with its header fields and, for --type2,
-    its digit system."""
+    its digit system.  A flag of the other type is rejected, not ignored."""
+    for flag in ("digits", "depth") if args.type1 else ("a2",):
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} is not used by --type{1 if args.type1 else 2}")
     if args.type1:
         return functools.partial(renorm1_apply, k=args.k), {"type": 1, "k": args.k}, None
     if args.digits is None:
@@ -403,14 +412,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("eta", _cmd_eta, "tabulate a weight family: n, eta, T, a")
     p.add_argument("--family", required=True, help="power:G | stretched:T | geometric:R")
-    p.add_argument("--nmax", type=_at_least(8), default=10000)
+    p.add_argument("--nmax", type=_at_least(8, _MAX_ROWS), default=10000)
 
     p = command("fixed-point", _cmd_fixed_point, "renormalization fixed point: n, a, Ra, residual")
     operator_flags(p)
     p.add_argument("--a2", type=float, help="free parameter a_2 < 0 (needed by --type1)")
-    p.add_argument("--depth", type=_at_least(0),
+    p.add_argument("--depth", type=_at_least(0, _MAX_DEPTH),
                    help="midpoint-rule depth (type 2; default: the exact series)")
-    p.add_argument("--nmax", type=_at_least(2), default=1000)
+    p.add_argument("--nmax", type=_at_least(2, _MAX_ROWS), default=1000)
 
     p = command("apply", _cmd_apply, "apply a renormalization operator to a table: n, a")
     operator_flags(p)
@@ -420,26 +429,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_at_least(2, _INT64_MAX), required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--n", type=_at_least(2, _INT64_MAX), required=True)
-    p.add_argument("--depth", type=_at_least(0),
+    p.add_argument("--depth", type=_at_least(0, _MAX_DEPTH),
                    help="midpoint-rule depth (default: the exact series)")
-    p.add_argument("--mc", type=_at_least(1000),
+    p.add_argument("--mc", type=_at_least(1000, _MAX_ROWS),
                    help="add a Monte Carlo cross-check with this many samples")
     p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 
     p = command("decay", _cmd_decay, "renewal decay table with oracle correlations: "
                 "q, A, V, K, D, C_oracle, C_over_D [, C_mc, mc_stderr, eps_trunc]")
     p.add_argument("--family", required=True)
-    p.add_argument("--qmax", type=_at_least(1), default=256)
-    p.add_argument("--oracle-trunc", type=_at_least(2), default=10000)  # build_chain needs M >= 2
-    p.add_argument("--nmax", type=_at_least(8))
-    p.add_argument("--mc-paths", type=_at_least(2),
+    p.add_argument("--qmax", type=_at_least(1, _MAX_ROWS), default=256)
+    # build_chain needs M >= 2
+    p.add_argument("--oracle-trunc", type=_at_least(2, _MAX_ROWS), default=10000)
+    p.add_argument("--nmax", type=_at_least(8, _MAX_ROWS))
+    p.add_argument("--mc-paths", type=_at_least(2, _MAX_ROWS),
                    help="add Monte Carlo columns C_mc, mc_stderr, eps_trunc")
     p.add_argument("--seed", type=_at_least(0), default=0)  # numpy's seeds are nonnegative
 
     p = command("inverse", _cmd_inverse,
                 "design eta realizing a target decay profile: q, d, eta, D, d_shift, rel_err")
     p.add_argument("--target", required=True, help="power:P | geometric:R | stretched:T")
-    p.add_argument("--qmax", type=_at_least(2), default=1000)
+    p.add_argument("--qmax", type=_at_least(2, _MAX_ROWS), default=1000)
 
     return parser
 
@@ -453,6 +463,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ValueError, ToleranceError, NotSummableError, OSError) as exc:
         print(f"runshift {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        sizes = [f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
+                 if k in _SIZE_FLAGS and v is not None]
+        print(f"runshift {args.command}: error: not enough memory for "
+              f"{', '.join(sizes) or 'this input'}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"runshift {args.command}: internal error: {exc}", file=sys.stderr)

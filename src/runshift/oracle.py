@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _causal_convolve, _lagged_solve
-from .sequences import EtaSequence, GeometricTail, ToleranceError
+from .sequences import EtaSequence
 
 __all__ = ["RenewalChain", "build_chain", "correlation", "occupation_sweep", "sample_paths"]
 
@@ -67,12 +67,10 @@ def build_chain(eta: EtaSequence, M: int) -> RenewalChain:
     is the relative tail mass the truncation drops."""
     if M < 2:
         raise ValueError("truncation level M must be at least 2")
-    if M > eta.n_max and not isinstance(eta.tail_model, GeometricTail):
-        raise ToleranceError(f"truncation M={M} needs n_max >= {M}")
-    cont, sw = eta.ratios(1, M)  # fresh arrays, not views of the tail grid
+    cont, sw = eta.ratios(1, M)  # fresh arrays; past n_max only for geometric weights
     cont[M - 1] = 0.0
     sw[M - 1] = 1.0
-    eps = eta.double_tail(M) / eta.first_moment()
+    eps = eta.double_tail(M) / eta.double_tail(0)
     if M <= eta.n_max:
         t = eta.tail_grid()[:M]
     else:  # geometric: T(m) = T(1) ratio^(m-1), exact at any m

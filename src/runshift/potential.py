@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sequences import EtaSequence, ToleranceError
+from .sequences import EtaSequence, ToleranceError, _check_tol
 
 __all__ = [
     "Pattern",
@@ -157,17 +157,13 @@ def eigenfunction(
         # which is inf without a tail model
         err = rest + damp * eta.tail_error(beta)
     value = 1.0 + series / scale
-    if tol is not None and not err / scale <= tol * value:
-        raise ToleranceError(
-            f"eigenfunction certified to relative {err / scale / value:.3g} only; "
-            f"{tol:g} needs a larger n_max or a sharper tail model"
-        )
+    _check_tol(err / scale / value, tol, f"eigenfunction at n={n} (relative)")
     return value
 
 
 def equilibrium_normalization(eta: EtaSequence, tol: float | None = None) -> float:
     """Z = 2 sum_m m eta_m, the total raw mass of all run cylinders."""
-    return 2.0 * eta.first_moment(tol)
+    return 2.0 * eta.double_tail(0, tol)
 
 
 def equilibrium_cylinder(

@@ -13,24 +13,25 @@ summable sequence eta_1, eta_2, ...  This module provides:
   otherwise, in pure Python;
 * custom finite sequences, EtaSequence(values, tail_model);
 * tail sums T(m) = sum_{n>=m} eta_n, double tails
-  D(q) = sum_{m>q} (m-q) eta_m, powered sums W(beta) = sum_n eta_n^beta,
-  and first moments, each with a certified error;
+  D(q) = sum_{m>q} (m-q) eta_m (the first moment is D(0)) and powered
+  sums W(beta) = sum_n eta_n^beta, each with a certified error;
 * the inverse construction that produces eta from a target decay profile
   d_q via second differences, with exact tails inherited from the target.
 
 Series are accumulated smallest-terms-first (one cumulative sum from the
 far end), so T(m) = eta_m + T(m+1) holds exactly in floating point.  The
-certified error of a reported value is the far bracket's half-width; the
-rounding of the far-end sum is not yet counted.  The double tails come
-from the same grid by D(q) = sum_{j>q} T(j): one more far-end cumulative
-sum gives every D(q).
+double tails come from the same grid by D(q) = sum_{j>q} T(j): one more
+far-end cumulative sum gives every D(q).  Each grid's far end is the tail
+model's answer at the edge, from the one route that also answers past the
+grid, and the certified error of a reported value is built from that
+answer's half-width; the rounding of the far-end sum is not yet counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -247,12 +248,6 @@ class TargetTail(TailModel):
         return v, v
 
 
-def _bracket(lo: float, hi: float) -> tuple[float, float]:
-    if not math.isfinite(hi):
-        return 0.0, math.inf
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
 def _check_tol(err: float, tol: float | None, what: str):
     if tol is not None and not err <= tol:
         raise ToleranceError(
@@ -272,7 +267,7 @@ class EtaSequence:
 
     values: np.ndarray
     tail_model: TailModel | None = None
-    # beta -> (read-only tail grid, certified half-width of its entries)
+    # beta -> (read-only tail grid, half-width of its far end); None -> the D grid
     _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -293,18 +288,31 @@ class EtaSequence:
 
     # -- tails ----------------------------------------------------------
 
-    def _tail_grid(self, beta: float) -> tuple[np.ndarray, float]:
-        key = float(beta)
+    def _model_tail(self, m: int, beta: float | None = 1.0) -> tuple[float, float]:
+        """The tail model's (bracket midpoint, half-width) of sum_{n>=m} eta_n^beta, or of
+        D(m) = sum_{n>=m} (n-m) eta_n when beta is None; (0, inf) without a model or a
+        finite bracket.  At m = n_max + 1 it is the far end of the matching grid."""
+        model, hi = self.tail_model, math.inf
+        if model is not None:
+            lo, hi = model.weighted_tail(m) if beta is None else model.powered(beta).sum_tail(m)
+        if not math.isfinite(hi):
+            return 0.0, math.inf
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def _grid(self, beta: float | None) -> tuple[np.ndarray, float]:
+        """(read-only far-end sums, half-width of their far end), cached per key:
+        sum_{n>=m} eta_n^beta for m = 1..n_max+1, or, when beta is None,
+        D(q) = sum_{j>q} T(j) for q = 0..n_max+1."""
+        key = None if beta is None else float(beta)
         if key not in self._grids:
-            if not key > 0.0:
+            if key is not None and not key > 0.0:
                 raise NotSummableError(f"sum eta_n^beta diverges at beta={beta}: beta must be > 0")
-            far = (0.0, math.inf)
-            if self.tail_model is not None:
-                far = _bracket(*self.tail_model.powered(key).sum_tail(self.n_max + 1))
-            terms = self.values if key == 1.0 else self.values**key
-            acc = np.cumsum(np.append(terms, far[0])[::-1])
+            terms = (self.tail_grid() if key is None
+                     else self.values if key == 1.0 else self.values**key)
+            far, err = self._model_tail(self.n_max + 1, key)
+            acc = np.cumsum(np.append(terms, far)[::-1])
             acc.flags.writeable = False
-            self._grids[key] = (acc[::-1], far[1])
+            self._grids[key] = (acc[::-1], err)
         return self._grids[key]
 
     def tail_grid(self, beta: float = 1.0) -> np.ndarray:
@@ -313,30 +321,17 @@ class EtaSequence:
         One cached cumulative sum from the far end; at beta = 1 these are
         the tails T(m), and T(m) = eta_m + T(m+1) holds exactly.
         """
-        return self._tail_grid(beta)[0]
+        return self._grid(beta)[0]
 
     def tail_error(self, beta: float = 1.0) -> float:
         """Certified error of each entry of tail_grid(beta): the far bracket's half-width
         (inf without a tail model), not yet counting the far-end sum's rounding."""
-        return self._tail_grid(beta)[1]
-
-    @cached_property
-    def _double_grid(self) -> tuple[np.ndarray, float]:
-        """(D(q) for q = 0..n_max, half-width of the weighted far bracket)."""
-        w1 = (0.0, math.inf)
-        if self.tail_model is not None:
-            w1 = _bracket(*self.tail_model.weighted_tail(self.n_max + 1))
-        # D(q) = sum_{j>q} T(j), with D(n_max) = T(n_max+1) + weighted far tail
-        terms = self.tail_grid().copy()
-        terms[-1] += w1[0]
-        acc = np.cumsum(terms[::-1])
-        acc.flags.writeable = False
-        return acc[::-1], w1[1]
+        return self._grid(beta)[1]
 
     def double_tail_grid(self) -> np.ndarray:
         """D(q) for q = 0..n_max at index q, read-only: one far-end cumulative
-        sum of T(1..n_max) on top of the tail model's D(n_max)."""
-        return self._double_grid[0]
+        sum of T(1..n_max+1) on top of the tail model's D(n_max+1)."""
+        return self._grid(None)[0][:-1]
 
     def eta(self, n: int) -> float:
         """eta_n; beyond n_max only analytic families can answer."""
@@ -353,13 +348,11 @@ class EtaSequence:
         when given; past n_max + 1 the tail model answers.  beta must be > 0."""
         if m < 1:
             raise ValueError("indices start at 1")
-        grid, err = self._tail_grid(beta)  # checks beta even past the grid
+        grid, err = self._grid(beta)  # checks beta even past the grid
         if m <= self.n_max + 1:
             val = float(grid[m - 1])
-        elif self.tail_model is None:
-            val, err = 0.0, math.inf
         else:
-            val, err = _bracket(*self.tail_model.powered(beta).sum_tail(m))
+            val, err = self._model_tail(m, beta)
         _check_tol(err, tol, f"T({m})" if beta == 1.0 else f"sum eta^{beta} from {m}")
         return val
 
@@ -368,25 +361,21 @@ class EtaSequence:
         return self.tail(1, tol, beta)
 
     def double_tail(self, q: int, tol: float | None = None) -> float:
-        """D(q) = sum_{m>q} (m-q) eta_m = sum_{s>=1} sum_{k>=0} eta_{k+q+s}."""
+        """D(q) = sum_{m>q} (m-q) eta_m = sum_{s>=1} sum_{k>=0} eta_{k+q+s}, D(0) = sum_n n eta_n;
+        past the grid the tail model takes the grid's own step D(q) = T(q+1) + D(q+1)."""
         if q < 0:
             raise ValueError("q must be nonnegative")
         if q <= self.n_max:
-            grid, w1_err = self._double_grid
+            grid, err = self._grid(None)
             val = float(grid[q])
-            err = (self.n_max + 1 - q) * self.tail_error() + w1_err
+            err += (self.n_max + 1 - q) * self.tail_error()
+        elif self.tail_model is None:
+            raise ToleranceError(f"D({q}) is beyond the stored cutoff {self.n_max}")
         else:
-            if self.tail_model is None:
-                raise ToleranceError(f"D({q}) is beyond the stored cutoff {self.n_max}")
-            s0 = _bracket(*self.tail_model.sum_tail(q + 1))
-            w1 = _bracket(*self.tail_model.weighted_tail(q + 1))
-            val, err = s0[0] + w1[0], s0[1] + w1[1]
+            (t, t_err), (d, d_err) = self._model_tail(q + 1), self._model_tail(q + 1, None)
+            val, err = t + d, t_err + d_err
         _check_tol(err, tol, f"D({q})")
         return val
-
-    def first_moment(self, tol: float | None = None) -> float:
-        """sum_n n eta_n = D(0), the normalization behind equilibrium cylinders."""
-        return self.double_tail(0, tol)
 
     # -- run-transition ratios -------------------------------------------
 

@@ -747,6 +747,61 @@ class TestBadInput:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert f"error: argument {flag}: must be at " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--nmax", ["eta", "--family", "power:3", "--nmax", str(10**20)]),
+        ("--nmax", ["fixed-point", "--type1", "--k", "2", "--a2=-1", "--nmax", str(2**59 + 1)]),
+        ("--qmax", ["decay", "--family", "power:3", "--qmax", str(10**20)]),
+        ("--qmax", ["inverse", "--target", "power:2", "--qmax", str(10**20)]),
+    ])
+    def test_size_past_any_array_names_itself(self, tmp_path, capsys, flag, argv):
+        # 10^20 once exited 2 with numpy's "Maximum allowed size exceeded", naming no flag
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: argument {flag}: must be at most {2**59}, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,callee", [
+        (["eta", "--family", "power:3", "--nmax", "1000000000000"], "make_eta"),
+        (["fixed-point", "--type1", "--k", "2", "--a2=-1", "--nmax", "1000000000000"],
+         "renorm1_fixed_point"),
+    ])
+    def test_size_past_the_memory_names_its_flag(self, tmp_path, capsys, monkeypatch, argv,
+                                                 callee):
+        # numpy's MemoryError, raised here without allocating, once exited 1 as an internal error
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(runshift.cli, callee, no_memory)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: not enough memory for --nmax 1000000000000: Unable to allocate" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["apply", "--type1", "--k", "2", "--digits", "9,9", "--in", "x.csv"], "--digits"),
+        (["fixed-point", "--type1", "--k", "2", "--a2=-1", "--digits", "0,1", "--depth", "3"],
+         "--digits"),
+        (["fixed-point", "--type1", "--k", "2", "--a2=-1", "--depth", "3"], "--depth"),
+        (["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--a2=-1"], "--a2"),
+    ])
+    def test_flag_of_the_other_operator_type_names_itself(self, tmp_path, capsys, argv, flag):
+        # each once exited 0, the flag ignored
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: {flag} is not used by --type{argv[1][-1]}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--k", "3", "--digits", "0,2", "--n", "2"],
+        ["fixed-point", "--type2", "--k", "3", "--digits", "0,2", "--nmax", "50"],
+    ])
+    def test_depth_past_double_precision_is_rejected(self, tmp_path, capsys, argv):
+        # past depth 1075, k^-depth is 0.0 for every k >= 2, and the cost grows with the depth
+        assert 2.0**-1075 == 0.0 < 2.0**-1074
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--depth", "1076", "--out", out]) == 2
+        assert "error: argument --depth: must be at most 1075, got 1076" in capsys.readouterr().err
+        assert main(argv + ["--depth", "1075", "--out", out]) == 0
+
     def test_largest_int64_index_has_a_positive_bound(self, tmp_path):
         # 2 n wrapped in int64 arithmetic and the bound came out -3.4e-13
         out = tmp_path / "x.csv"

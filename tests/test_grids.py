@@ -106,11 +106,6 @@ class TestDoubleTailGrid:
         assert np.all(gap <= 2.0 * U * d[:-1])
 
     @GRID_SETTINGS
-    @given(analytic_eta())
-    def test_first_moment_is_d0(self, eta):
-        assert eta.first_moment() == eta.double_tail_grid()[0] == eta.double_tail(0)
-
-    @GRID_SETTINGS
     @given(analytic_eta(), st.floats(1e-3, 1e3))
     def test_double_tail_ratios_scale_free(self, eta, c):
         # each D(q) passes through at most 2(n_max+1) roundings per side

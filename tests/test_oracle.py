@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from runshift import (
+    ToleranceError,
     build_chain,
     correlation,
     equilibrium_cylinder,
@@ -98,6 +99,12 @@ class TestBuildChain:
 
     def test_truncation_gate(self, power3):
         assert build_chain(power3, 8).eps_trunc > 1e-6
+
+    def test_truncation_past_n_max_names_n_max(self):
+        # the chain's rows come from eta.ratios, which reaches past n_max only for
+        # geometric weights and names the n_max it needs
+        with pytest.raises(ToleranceError, match="n_max >= 2000"):
+            build_chain(make_eta("power", {"gamma": 3.0}, 1000), 2000)
 
 
 class TestCorrelation:
@@ -215,7 +222,7 @@ class TestCylinderConsistency:
     def test_chain_cylinders_match_measure(self, power3):
         # P(q consecutive zeros) vs the sum of normalized run-cylinder masses
         chain = build_chain(power3, 10_000)
-        z = 2.0 * power3.first_moment()
+        z = 2.0 * power3.double_tail(0)
         for q in range(1, 65):
             mu_q = (
                 float(np.sum(power3.tail_grid()[q - 1 : power3.n_max][::-1]))

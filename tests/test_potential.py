@@ -120,6 +120,17 @@ class TestNonpositiveBeta:
 
 
 class TestEigenfunction:
+    def test_relative_tolerance_error_names_n(self):
+        # power:3 at n_max = 100: the far bracket, 4.9e-7, is 2e-5 of h(5), past 1e-12;
+        # without a tail model the lam != 1 series is not certified at all
+        eta = make_eta("power", {"gamma": 3.0}, 100)
+        uncertified = EtaSequence(eta.values)
+        for seq, lam, err in ((eta, 1.0, "1.99e-05"), (uncertified, 1.01, "inf")):
+            cause = rf"eigenfunction at n=5 \(relative\) certified only to {err};"
+            with pytest.raises(ToleranceError, match=cause):
+                eigenfunction(lead_zeros(5), seq, lam=lam, tol=1e-12)
+        assert eigenfunction(lead_zeros(5), eta, tol=1e-4) > 1.0
+
     def test_geometric_is_constant_two(self, geometric_half):
         for n in (1, 2, 5, 20):
             assert eigenfunction(lead_zeros(n), geometric_half) == pytest.approx(

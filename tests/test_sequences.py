@@ -203,7 +203,7 @@ class TestDoubleTail:
         with pytest.raises(NotSummableError):
             eta.double_tail(5)
         with pytest.raises(NotSummableError):
-            eta.first_moment()
+            eta.double_tail(0)
 
 
 class TestPoweredSums:
@@ -349,6 +349,21 @@ class TestRegistry:
             decay_profile("geometric:1.5")
 
 
+# one sequence per kind of tail model, at the sizes the grids are checked on
+EDGE_CASES = {
+    "power": lambda: make_eta("power", {"gamma": 3.0}, 1000),
+    "stretched": lambda: make_eta("stretched", {"theta": 0.5}, 1000),
+    "geometric": lambda: make_eta("geometric", {"ratio": 0.6}, 1000),
+    "target": lambda: inverse_design(decay_profile("power:2"), 500),
+}
+
+
+def _mid_half(bracket):
+    """A tail model's (lo, hi) bracket as (midpoint, half-width)."""
+    lo, hi = bracket
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 class TestGrids:
     def test_grids_read_only(self, power3):
         # callers get the cached grids themselves, or slices of them
@@ -358,3 +373,35 @@ class TestGrids:
             with pytest.raises(ValueError, match="read-only"):
                 grid[0] = 0.0
         assert power3.tail(1) == power3.W()
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_CASES))
+    def test_far_end_is_the_model_answer_at_the_edge(self, kind):
+        # one tail-model route gives each grid's far end and every value past the grid:
+        # at the edge they agree bit for bit, in value and in error
+        eta = EDGE_CASES[kind]()
+        n, model = eta.n_max, eta.tail_model
+        for beta in (1.0,) if kind == "target" else (1.0, 2.0):
+            t, t_err = _mid_half(model.powered(beta).sum_tail(n + 1))
+            assert eta.tail_grid(beta)[n] == eta.tail(n + 1, beta=beta) == t
+            assert eta.tail_error(beta) == t_err
+            assert eta.tail(n + 2, beta=beta) == _mid_half(model.powered(beta).sum_tail(n + 2))[0]
+        for q in (n, n + 1):  # the grid's far end, then the route past it
+            (t, t_err), (w, w_err) = (_mid_half(model.sum_tail(q + 1)),
+                                      _mid_half(model.weighted_tail(q + 1)))
+            assert eta.double_tail(q) == t + w
+            err = t_err + w_err
+            eta.double_tail(q, tol=err)
+            with pytest.raises(ToleranceError, match=rf"D\({q}\) certified only to"):
+                eta.double_tail(q, tol=np.nextafter(err, -1.0))
+        assert eta.double_tail_grid()[n] == eta.double_tail(n)
+
+    def test_far_end_without_a_model_is_uncertified(self):
+        eta = EtaSequence(np.arange(40.0, 0.0, -1.0))
+        assert eta.tail_grid()[40] == eta.tail(41) == eta.tail(50) == 0.0
+        assert eta.tail_error() == math.inf
+        assert eta.double_tail_grid()[40] == eta.double_tail(40) == 0.0
+        for q in (0, 40):
+            with pytest.raises(ToleranceError, match=rf"D\({q}\) certified only to inf"):
+                eta.double_tail(q, tol=1e300)
+        with pytest.raises(ToleranceError, match="D\\(41\\) is beyond the stored cutoff 40"):
+            eta.double_tail(41)
