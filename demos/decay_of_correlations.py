@@ -28,8 +28,8 @@ def main():
     ser = renewal_series(geo, 32)
     chain = build_chain(geo, 64)
     c = correlation(chain, np.arange(1, 33))
-    print(f"max |K_q| = {np.max(np.abs(ser.forcing)):.1e}, "
-          f"max |V_q| = {np.max(np.abs(ser.deficits)):.1e}, "
+    print(f"max |K_q| = {np.max(np.abs(ser['K'])):.1e}, "
+          f"max |V_q| = {np.max(np.abs(ser['V'])):.1e}, "
           f"max |C(q)| = {np.max(np.abs(c)):.1e}")
 
     print("\n== power(3): renewal route vs chain oracle ==")
@@ -37,7 +37,7 @@ def main():
     ser = renewal_series(eta, 64)
     chain = build_chain(eta, 10_000)
     qs = np.arange(1, 65)
-    gap = np.max(np.abs(ser.iterates - occupation_sweep(chain, (0, 1), qs)))
+    gap = np.max(np.abs(ser["A"] - occupation_sweep(chain, (0, 1), qs)))
     print(f"iterates A_q vs chain, q <= 64: max gap {gap:.2e}")
     b = iterates_from_run(eta, 4, 64)
     gap_b = np.max(np.abs(b - occupation_sweep(chain, (0, 4), qs)))

@@ -29,12 +29,7 @@ from .cantor import (
     quadrature_values,
     self_similarity_check,
 )
-from .decay import (
-    RenewalSeries,
-    decay_table,
-    iterates_from_run,
-    renewal_series,
-)
+from .decay import iterates_from_run, renewal_series
 from .oracle import (
     RenewalChain,
     build_chain,

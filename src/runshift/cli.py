@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._floattext import float_text, int_text
 from .cantor import CantorMeasure, DigitSystem, monte_carlo_integral, quadrature
-from .decay import decay_table
+from .decay import renewal_series
 from .oracle import build_chain, correlation, sample_paths
 from .renorm import (
     InputTooShort,
@@ -271,6 +271,9 @@ def _cmd_fixed_point(args) -> int:
     try:
         image = operator(a)
     except InputTooShort as exc:
+        if exc.required > _MAX_ROWS:
+            raise ValueError(f"--k {args.k} is too large: (Ra)_2 needs a_{exc.required}, past "
+                             f"the greatest --nmax {_MAX_ROWS}, so no --nmax can serve it") from None
         raise ValueError(f"--nmax {args.nmax} is too small: (Ra)_2 needs a_{exc.required}, "
                          f"so --nmax must be at least {exc.required}") from None
     res = residual(a, image)
@@ -338,8 +341,10 @@ def _cmd_decay(args) -> int:
         raise ValueError(f"{flag} needs {what}" + (but if reach < need else ""))
     eta = make_eta(family, params, nmax)
     chain = build_chain(eta, args.oracle_trunc)
-    c = correlation(chain, np.arange(1, args.qmax + 1))
-    table = decay_table(eta, args.qmax, oracle_correlations=c)
+    table = renewal_series(eta, args.qmax)
+    table["C_oracle"] = correlation(chain, table["q"])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table["C_over_D"] = np.abs(table["C_oracle"]) / table["D"]
     meta = {"command": "decay", "family": args.family, "qmax": args.qmax,
             "oracle_trunc": args.oracle_trunc, "nmax": nmax,
             "eps_trunc": chain.eps_trunc}

@@ -23,47 +23,28 @@ relative to its own terms.  The iterates from a run of length s are
 The predicted size of the correlation at lag q is the double tail
 D(q) = sum_{s>=1} sum_{k>=0} eta_{k+q+s}, read from the sequence's
 double-tail grid: polynomial q^(2-gamma) for power weights with
-gamma > 2, and of order q e^(-sqrt q) for exp(-sqrt n) weights.  The
-run-length chain in runshift.oracle provides the independent ground
-truth for all of these quantities.
+gamma > 2, and of order q e^(-sqrt q) for exp(-sqrt n) weights.
+
+renewal_series returns these as one table, the columns q, A, V, K and D
+that ``runshift decay`` writes; the CLI appends the correlations C_oracle
+of the run-length chain in runshift.oracle, the independent ground truth,
+and C_over_D = |C_oracle| / D.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sequences import EtaSequence
 
-__all__ = [
-    "RenewalSeries",
-    "renewal_series",
-    "iterates_from_run",
-    "decay_table",
-]
+__all__ = ["renewal_series", "iterates_from_run"]
 
 
-@dataclass(frozen=True, eq=False)
-class RenewalSeries:
-    """Renewal data for lags 1..qmax; index i of each array holds lag i+1.
+def renewal_series(eta: EtaSequence, qmax: int) -> dict:
+    """The renewal table for lags 1..qmax: columns q, A, V, K, D, row i holding lag q = i+1.
 
-    jump_probs[m-1] = eta_m / W, tail_terms[q-1] = T(q+1)/W,
-    forcing[q-1] = K_q, iterates[q-1] = A_q, deficits[q-1] = V_q.
-    """
-
-    jump_probs: np.ndarray
-    tail_terms: np.ndarray
-    forcing: np.ndarray
-    iterates: np.ndarray
-    deficits: np.ndarray
-
-
-def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
-    """Solve the deficit recursion up to lag qmax; the iterates are 1/2 - V.
-
-    Tails are taken from the sequence's certified grid once and reused
-    across the whole sweep.
+    V solves the deficit recursion with forcing K, A = 1/2 - V, and D(q) is read from the
+    double-tail grid.  Tails come from the sequence's certified grid once for the sweep.
     """
     if qmax < 1:
         raise ValueError("qmax must be at least 1")
@@ -71,11 +52,10 @@ def renewal_series(eta: EtaSequence, qmax: int) -> RenewalSeries:
         raise ValueError(f"qmax={qmax} needs n_max >= {qmax + 1}")
     w = eta.W()
     t = eta.tail_grid()  # t[m-1] = T(m)
-    p = eta.values[:qmax] / w
-    tail_terms = t[1 : qmax + 1] / w
-    forcing = 0.5 * t[:qmax] / w - tail_terms
-    deficits = _lagged_solve(p, forcing)
-    return RenewalSeries(p, tail_terms, forcing, 0.5 - deficits, deficits)
+    forcing = 0.5 * t[:qmax] / w - t[1 : qmax + 1] / w
+    deficits = _lagged_solve(eta.values[:qmax] / w, forcing)
+    return {"q": np.arange(1, qmax + 1), "A": 0.5 - deficits, "V": deficits, "K": forcing,
+            "D": eta.double_tail_grid()[1 : qmax + 1]}
 
 
 def iterates_from_run(eta: EtaSequence, s: int, qmax: int) -> np.ndarray:
@@ -89,7 +69,7 @@ def iterates_from_run(eta: EtaSequence, s: int, qmax: int) -> np.ndarray:
         raise ValueError(f"qmax must be at least 1, got {qmax}")
     if s + qmax > eta.n_max + 1:
         raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
-    deficits = renewal_series(eta, max(qmax - 1, 1)).deficits
+    deficits = renewal_series(eta, max(qmax - 1, 1))["V"]
     t = eta.tail_grid()
     ts = t[s - 1]
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax
@@ -145,27 +125,3 @@ def _causal_convolve(a: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     for d in range(k):
         y[d:] += blocks[: k - d] @ padded[d * b + toeplitz_t]
     return y.ravel()[:n]
-
-
-def decay_table(eta: EtaSequence, qmax: int, oracle_correlations: np.ndarray) -> dict:
-    """Columns (q, A, V, K, D, C_oracle, C_over_D) for export; C_oracle is the first qmax
-    ``oracle_correlations``, and ``np.full(qmax, np.nan)`` gives a table without them."""
-    c = np.asarray(oracle_correlations, dtype=float)
-    if c.ndim != 1 or c.size < qmax:
-        raise ValueError(f"oracle_correlations of shape {c.shape}: qmax = {qmax} needs a 1-d "
-                         f"array of at least {qmax} entries")
-    series = renewal_series(eta, qmax)
-    q = np.arange(1, qmax + 1)
-    d = eta.double_tail_grid()[1 : qmax + 1]  # D(1..qmax); renewal_series needs qmax < n_max
-    c = c[:qmax]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(c) / d
-    return {
-        "q": q,
-        "A": series.iterates,
-        "V": series.deficits,
-        "K": series.forcing,
-        "D": d,
-        "C_oracle": c,
-        "C_over_D": ratio,
-    }

@@ -362,15 +362,14 @@ class EtaSequence:
 
     def double_tail(self, q: int, tol: float | None = None) -> float:
         """D(q) = sum_{m>q} (m-q) eta_m = sum_{s>=1} sum_{k>=0} eta_{k+q+s}, D(0) = sum_n n eta_n;
-        past the grid the tail model takes the grid's own step D(q) = T(q+1) + D(q+1)."""
+        past the grid the tail model takes the grid's own step D(q) = T(q+1) + D(q+1), and
+        without one D(q) is 0.0 certified only to inf, as tail(m) is."""
         if q < 0:
             raise ValueError("q must be nonnegative")
         if q <= self.n_max:
             grid, err = self._grid(None)
             val = float(grid[q])
             err += (self.n_max + 1 - q) * self.tail_error()
-        elif self.tail_model is None:
-            raise ToleranceError(f"D({q}) is beyond the stored cutoff {self.n_max}")
         else:
             (t, t_err), (d, d_err) = self._model_tail(q + 1), self._model_tail(q + 1, None)
             val, err = t + d, t_err + d_err

@@ -125,8 +125,8 @@ def test_criterion_5_bernoulli_degenerate_oracle():
     chain = build_chain(eta, 64)
     c = correlation(chain, np.arange(1, 65))
     worst = max(
-        float(np.max(np.abs(ser.forcing))),
-        float(np.max(np.abs(ser.deficits))),
+        float(np.max(np.abs(ser["K"]))),
+        float(np.max(np.abs(ser["V"]))),
         float(np.max(np.abs(c))),
     )
     _report(5, worst <= 1e-12, f"geometric(1/2): max |K|,|V|,|C| = {worst:.2e} (<=1e-12)")
@@ -143,7 +143,7 @@ def test_criterion_6_renewal_oracle_equivalence():
         qs = np.arange(1, 257)
         ser = renewal_series(eta, 256)
         worst = max(
-            worst, float(np.max(np.abs(ser.iterates - occupation_sweep(chain, (0, 1), qs))))
+            worst, float(np.max(np.abs(ser["A"] - occupation_sweep(chain, (0, 1), qs))))
         )
         for s in (1, 2, 4, 8):
             b = iterates_from_run(eta, s, 256)
@@ -218,8 +218,7 @@ def test_criterion_10_scale_invariance():
     scaled = eta.scaled(7.0)
     worst = 0.0
     s1, s2 = renewal_series(eta, 128), renewal_series(scaled, 128)
-    for a, b in ((s1.iterates, s2.iterates), (s1.deficits, s2.deficits),
-                 (s1.forcing, s2.forcing)):
+    for a, b in ((s1["A"], s2["A"]), (s1["V"], s2["V"]), (s1["K"], s2["K"])):
         worst = max(worst, float(np.max(np.abs(a - b))))
     for s in (2, 8):
         worst = max(worst, float(np.max(np.abs(

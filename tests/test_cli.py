@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import runshift
-from runshift import CantorMeasure, DigitSystem, quadrature, quadrature_values
+from runshift import (
+    CantorMeasure,
+    DigitSystem,
+    build_chain,
+    correlation,
+    make_eta,
+    quadrature,
+    quadrature_values,
+    renewal_series,
+)
 from runshift.cli import _CHUNK, _read_coeffs, _write_table, entry, main
 from runshift.sequences import decay_profile
 
@@ -374,6 +383,22 @@ class TestDecay:
         assert np.max(np.abs(data["C_oracle"])) < 1e-12
         assert np.max(np.abs(data["V"])) < 1e-12
 
+    def test_columns_are_the_renewal_table_and_the_oracle(self, tmp_path):
+        # bit for bit: the file's renewal columns are renewal_series on the same eta,
+        # and C_oracle is the chain's correlation at those lags
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--family", "power:3", "--qmax", "64",
+                     "--oracle-trunc", "500", "--out", str(out)]) == 0
+        meta, data = read_csv(out)
+        eta = make_eta("power", {"gamma": 3.0}, int(meta["nmax"]))
+        table = renewal_series(eta, 64)
+        assert list(data)[:5] == list(table)
+        for name, col in table.items():
+            assert np.array_equal(data[name], col), name
+        c = correlation(build_chain(eta, 500), table["q"])
+        assert np.array_equal(data["C_oracle"], c)
+        assert np.array_equal(data["C_over_D"], np.abs(c) / table["D"])
+
     def test_power3_columns_consistent(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = main(["decay", "--family", "power:3", "--qmax", "16",
@@ -706,6 +731,13 @@ class TestBadInput:
         # rounding, not the target, breaks monotonicity of its second differences
         (["inverse", "--target", "geometric:0.999999", "--qmax", "3"],
          "second differences d_r - 2 d_(r+1) + d_(r+2) increase from r=2 to r=3"),
+        # an index past the greatest --nmax names --k, not an --nmax no flag accepts
+        (["fixed-point", "--type1", "--k", str(2**63 - 1), "--a2=-1"],
+         f"--k {2**63 - 1} is too large: (Ra)_2 needs a_{2**63 + 1}, past the greatest "
+         f"--nmax {2**59}, so no --nmax can serve it"),
+        (["fixed-point", "--type2", "--k", str(2**63 - 1), "--digits", f"0,{2**63 - 2}"],
+         f"--k {2**63 - 1} is too large: (Ra)_2 needs a_{2**64 - 2}, past the greatest "
+         f"--nmax {2**59}, so no --nmax can serve it"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -1,12 +1,9 @@
-import re
-
 import numpy as np
 import pytest
 
 from conftest import brute_double_tail
 from runshift import (
     EtaSequence,
-    decay_table,
     iterates_from_run,
     make_eta,
     renewal_series,
@@ -19,9 +16,9 @@ K1_POWER3 = 0.33190737258070746  # 1/zeta(3) - 1/2
 class TestBernoulliCase:
     def test_everything_vanishes(self, geometric_half):
         ser = renewal_series(geometric_half, 64)
-        assert np.all(ser.iterates == 0.5)
-        assert np.all(ser.forcing == 0.0)
-        assert np.all(ser.deficits == 0.0)
+        assert np.all(ser["A"] == 0.5)
+        assert np.all(ser["K"] == 0.0)
+        assert np.all(ser["V"] == 0.0)
 
     def test_iterates_from_any_run(self, geometric_half):
         for s in (1, 2, 4, 8):
@@ -32,13 +29,13 @@ class TestBernoulliCase:
 class TestRenewalRecursion:
     def test_first_iterate(self, power3):
         ser = renewal_series(power3, 8)
-        assert ser.iterates[0] == pytest.approx(A1_POWER3, abs=1e-12)
-        assert ser.iterates[0] == pytest.approx(power3.tail(2) / power3.W(), rel=1e-14, abs=0)
+        assert ser["A"][0] == pytest.approx(A1_POWER3, abs=1e-12)
+        assert ser["A"][0] == pytest.approx(power3.tail(2) / power3.W(), rel=1e-14, abs=0)
 
     def test_first_forcing_equals_first_deficit(self, power3):
         ser = renewal_series(power3, 8)
-        assert ser.forcing[0] == pytest.approx(K1_POWER3, abs=1e-12)
-        assert ser.deficits[0] == ser.forcing[0]
+        assert ser["K"][0] == pytest.approx(K1_POWER3, abs=1e-12)
+        assert ser["V"][0] == ser["K"][0]
 
     @pytest.mark.parametrize("fam,params,nmax", [
         ("power", {"gamma": 3.0}, 2100),
@@ -49,10 +46,10 @@ class TestRenewalRecursion:
         # the two recursions are algebraically the same statement
         eta = make_eta(fam, params, nmax)
         ser = renewal_series(eta, 1000)
-        assert np.max(np.abs(ser.deficits - (0.5 - ser.iterates))) < 1e-12
+        assert np.max(np.abs(ser["V"] - (0.5 - ser["A"]))) < 1e-12
 
     def test_iterates_in_unit_interval_and_converge(self, power3):
-        a = renewal_series(power3, 2048).iterates
+        a = renewal_series(power3, 2048)["A"]
         assert np.all((a > 0.0) & (a < 1.0))
         # |A_q - 1/2| tail decreases to zero
         gap = np.abs(a - 0.5)
@@ -60,7 +57,7 @@ class TestRenewalRecursion:
         assert np.max(gap[1024:]) < np.max(gap[256:1024]) < np.max(gap[:256])
 
     def test_deficits_vanish(self, power3):
-        v = renewal_series(power3, 2048).deficits
+        v = renewal_series(power3, 2048)["V"]
         assert abs(v[-1]) < 1e-5
 
     def test_generating_function_identity(self, power3):
@@ -68,9 +65,9 @@ class TestRenewalRecursion:
         ser = renewal_series(power3, 400)
         z = 0.5
         pow_z = z ** np.arange(1, 401)
-        v_z = float(np.sum(ser.deficits * pow_z))
-        f_z = float(np.sum(ser.jump_probs * pow_z / z))
-        k_z = float(np.sum(ser.forcing * pow_z / z))
+        v_z = float(np.sum(ser["V"] * pow_z))
+        f_z = float(np.sum(power3.values[:400] / power3.W() * pow_z / z))
+        k_z = float(np.sum(ser["K"] * pow_z / z))
         assert v_z * (1.0 + z * f_z) == pytest.approx(z * k_z, abs=1e-12)
 
 
@@ -78,7 +75,7 @@ class TestIteratesFromRun:
     def test_reduces_to_plain_iterates_at_unit_run(self, power3):
         ser = renewal_series(power3, 64)
         b = iterates_from_run(power3, 1, 64)
-        assert np.max(np.abs(b - ser.iterates)) < 1e-14
+        assert np.max(np.abs(b - ser["A"])) < 1e-14
 
     def test_first_step_is_continue_probability(self, power3):
         for s in (1, 3, 9):
@@ -143,9 +140,9 @@ class TestScaleInvariance:
         scaled = power3.scaled(7.0)
         s1 = renewal_series(power3, 128)
         s2 = renewal_series(scaled, 128)
-        assert np.max(np.abs(s1.iterates - s2.iterates)) < 1e-12
-        assert np.max(np.abs(s1.deficits - s2.deficits)) < 1e-12
-        assert np.max(np.abs(s1.forcing - s2.forcing)) < 1e-12
+        assert np.max(np.abs(s1["A"] - s2["A"])) < 1e-12
+        assert np.max(np.abs(s1["V"] - s2["V"])) < 1e-12
+        assert np.max(np.abs(s1["K"] - s2["K"])) < 1e-12
         b1 = iterates_from_run(power3, 4, 64)
         b2 = iterates_from_run(scaled, 4, 64)
         assert np.max(np.abs(b1 - b2)) < 1e-12
@@ -181,24 +178,16 @@ class TestStretchedTailReport:
 
 class TestDecayTable:
     def test_columns(self, geometric_half):
-        table = decay_table(geometric_half, 16, np.full(16, np.nan))
-        assert list(table) == ["q", "A", "V", "K", "D", "C_oracle", "C_over_D"]
-        assert np.all(np.isnan(table["C_oracle"])) and np.all(np.isnan(table["C_over_D"]))
-        table = decay_table(geometric_half, 8, oracle_correlations=np.zeros(10))
-        assert np.array_equal(table["C_oracle"], np.zeros(8))
-
-    @pytest.mark.parametrize("oracle", [np.zeros(1), np.zeros(7), 0.0, np.zeros((8, 1))],
-                             ids=["one", "seven", "scalar", "column"])
-    def test_oracle_length_checked(self, geometric_half, oracle):
-        shape = re.escape(str(np.shape(oracle)))
-        with pytest.raises(ValueError, match=f"shape {shape}: qmax = 8 needs .* at least 8"):
-            decay_table(geometric_half, 8, oracle)
+        table = renewal_series(geometric_half, 16)
+        assert list(table) == ["q", "A", "V", "K", "D"]
+        assert np.array_equal(table["q"], np.arange(1, 17))
+        assert all(len(col) == 16 for col in table.values())
 
     def test_d_column_read_from_grid(self, power3, monkeypatch):
         lags = []
         scalar = EtaSequence.double_tail
         monkeypatch.setattr(EtaSequence, "double_tail",
                             lambda self, q, tol=None: lags.append(q) or scalar(self, q, tol))
-        table = decay_table(power3, 512, np.full(512, np.nan))
+        table = renewal_series(power3, 512)
         assert lags == []  # no lag goes through the scalar route
         assert np.array_equal(table["D"], power3.double_tail_grid()[1:513])

@@ -115,10 +115,10 @@ def test_readme_decay_example_matches_loop(monkeypatch):
     eta = make_eta("stretched", {"theta": 0.5}, M + 1)
     chain = build_chain(eta, M)
     lags = np.arange(1, qmax + 1)
-    c, v = correlation(chain, lags), renewal_series(eta, qmax).deficits
+    c, v = correlation(chain, lags), renewal_series(eta, qmax)["V"]
     monkeypatch.setattr(runshift.oracle, "_lagged_solve", lagged_loop)
     monkeypatch.setattr(runshift.decay, "_lagged_solve", lagged_loop)
-    c_ref, v_ref = correlation(chain, lags), renewal_series(eta, qmax).deficits
+    c_ref, v_ref = correlation(chain, lags), renewal_series(eta, qmax)["V"]
     for got, want in ((c, c_ref), (v, v_ref)):
         rel = np.abs(got - want) / np.abs(want)
         assert rel.max() <= 1e-12, (int(np.argmax(rel)) + 1, rel.max())

@@ -167,7 +167,7 @@ class TestOccupation:
         chain = build_chain(power3, 10_000)
         ser = renewal_series(power3, 64)
         got = occupation_sweep(chain, (0, 1), np.arange(1, 65))
-        assert np.max(np.abs(got - ser.iterates)) < 1e-10
+        assert np.max(np.abs(got - ser["A"])) < 1e-10
 
     def test_matches_run_iterates(self, power3):
         chain = build_chain(power3, 10_000)

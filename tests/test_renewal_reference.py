@@ -52,13 +52,14 @@ def test_renewal_series_within_accumulated_rounding(family, key, param):
     qmax = 200
     eta = make_eta(family, {key: param}, 400)
     ser = renewal_series(eta, qmax)
+    p = eta.values[:qmax] / eta.W()
     tw = eta.tail_grid()[: qmax + 1] / eta.W()  # rounded as renewal_series rounds them
-    assert np.array_equal(tw[1:], ser.tail_terms)
-    a_ref, v_ref = reference(ser.jump_probs, tw)
+    assert np.array_equal(0.5 * tw[:-1] - tw[1:], ser["K"])
+    a_ref, v_ref = reference(p, tw)
     gamma = qmax * U
-    jumped = np.concatenate(([0.0], np.cumsum(ser.jump_probs[:-1])))
-    a_bound = accumulated_error(ser.jump_probs, a_ref, jumped + tw[1:], gamma)
-    v_bound = accumulated_error(ser.jump_probs, v_ref, 0.5 * tw[:-1] - tw[1:], gamma)
-    assert np.all(np.abs(ser.deficits - v_ref) <= v_bound)
-    assert np.all(np.abs(ser.iterates - a_ref) <= a_bound)
-    assert np.array_equal(ser.iterates, 0.5 - ser.deficits)
+    jumped = np.concatenate(([0.0], np.cumsum(p[:-1])))
+    a_bound = accumulated_error(p, a_ref, jumped + tw[1:], gamma)
+    v_bound = accumulated_error(p, v_ref, 0.5 * tw[:-1] - tw[1:], gamma)
+    assert np.all(np.abs(ser["V"] - v_ref) <= v_bound)
+    assert np.all(np.abs(ser["A"] - a_ref) <= a_bound)
+    assert np.array_equal(ser["A"], 0.5 - ser["V"])

@@ -399,9 +399,8 @@ class TestGrids:
         eta = EtaSequence(np.arange(40.0, 0.0, -1.0))
         assert eta.tail_grid()[40] == eta.tail(41) == eta.tail(50) == 0.0
         assert eta.tail_error() == math.inf
-        assert eta.double_tail_grid()[40] == eta.double_tail(40) == 0.0
-        for q in (0, 40):
+        # past the grid D, like T, is 0.0 without a tol, and raises with one
+        assert eta.double_tail_grid()[40] == eta.double_tail(40) == eta.double_tail(50) == 0.0
+        for q in (0, 40, 41):
             with pytest.raises(ToleranceError, match=rf"D\({q}\) certified only to inf"):
                 eta.double_tail(q, tol=1e300)
-        with pytest.raises(ToleranceError, match="D\\(41\\) is beyond the stored cutoff 40"):
-            eta.double_tail(41)
