@@ -34,7 +34,7 @@ def main():
 
     print("\n== middle-thirds digits {0,2} ==")
     cm = CantorMeasure(DigitSystem(3, (0, 2)))
-    print(f"alpha = log 2 / log 3 = {cm.alpha:.6f}")
+    print(f"alpha = log 2 / log 3 = {cm.ds.hausdorff_alpha:.6f}")
     exact, exact_bound = quadrature(cm, 2)
     for depth in (8, 11, 14):
         value, bound = quadrature(cm, 2, depth=depth)
@@ -62,7 +62,7 @@ def main():
     print("\n== large-n behavior: n^alpha I(n) -> 1 ==")
     for n in (10, 100, 1000):
         value, _ = quadrature(cm, n)
-        print(f"  n = {n:>4}: n^alpha I(n) = {n**cm.alpha * value:.6f}")
+        print(f"  n = {n:>4}: n^alpha I(n) = {n**cm.ds.hausdorff_alpha * value:.6f}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from runshift import (
     ALL_ZEROS,
     check_normalization,
     eigenfunction,
-    equilibrium_cylinder,
     equilibrium_table,
     inner_zeros,
     jacobian,
@@ -51,7 +50,7 @@ def main():
         print(f"{table['q'][i]}    {table['rho'][i]:.6f}     {table['mu_raw'][i]:.6f}"
               f"     {table['mu_norm'][i]:.6f}     {table['r'][i]:.6f}    {j_str}")
     print(f"mass of the 0-cylinder: {zero_cylinder_mass(eta):.15f}  (one half)")
-    print(f"normalized mu(0^2 1) = {equilibrium_cylinder(2, eta, normalized=True):.8f}")
+    print(f"normalized mu(0^2 1) = {table['mu_norm'][1]:.8f}")
 
     print("\n== the Jacobian is a stochastic kernel ==")
     print(f"continue from run 5: {jacobian(lead_zeros(6), eta):.6f}")

@@ -43,8 +43,6 @@ from .potential import (
     SymbolicPoint,
     check_normalization,
     eigenfunction,
-    equilibrium_cylinder,
-    equilibrium_normalization,
     equilibrium_table,
     inner_zeros,
     jacobian,

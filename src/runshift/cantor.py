@@ -104,14 +104,9 @@ def _digit_sums(digits: np.ndarray, weights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CantorMeasure:
-    """K(l, k) with its maximal-entropy measure."""
+    """K(l, k) with its maximal-entropy measure; the kernel exponent is ds.hausdorff_alpha."""
 
     ds: DigitSystem
-
-    @property
-    def alpha(self) -> float:
-        """The kernel exponent: the Hausdorff exponent log l / log k."""
-        return self.ds.hausdorff_alpha
 
     def prefix_points(self, depth: int) -> np.ndarray:
         """All l^depth depth-D cylinder base points sum b_i k^-i, built anew."""
@@ -128,8 +123,8 @@ def error_bound(cm: CantorMeasure, n, depth: int):
     """Certified quadrature error: alpha (n - sup K)^(-alpha-1) sup K k^-depth
     (elementwise for an array of n)."""
     _check_kernel(cm, np.min(n))
-    sup = cm.ds.sup
-    return cm.alpha * (n - sup) ** (-cm.alpha - 1.0) * sup * cm.ds.k ** (-float(depth))
+    sup, alpha = cm.ds.sup, cm.ds.hausdorff_alpha
+    return alpha * (n - sup) ** (-alpha - 1.0) * sup * cm.ds.k ** (-float(depth))
 
 
 def quadrature(cm: CantorMeasure, n: int, depth: int | None = None) -> tuple[float, float]:
@@ -240,7 +235,7 @@ def quadrature_values(
         raise ValueError(f"depth must be a nonnegative integer, got {depth}")
     ds = cm.ds
     r = ds.digits[-1] / ((ds.k - 1) * ns.astype(float))  # an int64 product could wrap
-    coef, tail_coef, rho = _series_coefficients(cm.alpha, float(r.max()))
+    coef, tail_coef, rho = _series_coefficients(ds.hausdorff_alpha, float(r.max()))
     P = len(coef) - 1
     m, counts = _moments(ds, P, depth)
     terms = np.asarray(coef) * m
@@ -252,7 +247,7 @@ def quadrature_values(
     for j in range(P, -1, -1):
         value = value * r + terms[j]
         rounding = rounding * r + errs[j]
-    scale = np.power(ns.astype(float), -cm.alpha)
+    scale = np.power(ns.astype(float), -ds.hausdorff_alpha)
     tail = tail_coef * r ** (P + 1) / (1.0 - r * rho)
     bounds = scale * (tail + rounding)
     if depth is not None:
@@ -319,7 +314,7 @@ def monte_carlo_integral(
             for block, r in zip(lower, row):
                 x -= block[r:r + size]
         np.log(batch, out=batch)  # of n - t
-        np.multiply(batch, -cm.alpha, out=batch)
+        np.multiply(batch, -cm.ds.hausdorff_alpha, out=batch)
         np.exp(batch, out=batch)  # (n - t)^-alpha
         np.sum(batch, axis=1, out=means[first:stop])
     means /= size

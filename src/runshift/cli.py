@@ -101,12 +101,13 @@ def _json_cells(text: np.ndarray, first: bool) -> str:
     return _text([sep, text])
 
 
-def _write_table(args, default_name: str, meta: dict, columns: dict, note: str) -> int:
-    """Stream the table to its file and report it.  CSV cells are ``repr`` of floats
-    and ``str`` of the rest; JSON is ``json.dumps(doc, indent=1)`` with float cells.
-    Each chunk of about ``_CHUNK`` cells is formatted and written at once, its float
-    cells by one call of the vectorized ``repr``."""
-    path = args.out or os.path.join(os.environ.get("RUNSHIFT_OUT_DIR", "."), default_name)
+def _write_table(args, stem: str, meta: dict, columns: dict, note: str) -> int:
+    """Stream the table to its file, by default ``<stem>.<out_format>`` in RUNSHIFT_OUT_DIR,
+    and report it.  CSV cells are ``repr`` of floats and ``str`` of the rest; JSON is
+    ``json.dumps(doc, indent=1)`` with float cells.  Each chunk of about ``_CHUNK`` cells
+    is formatted and written at once, its float cells by one call of the vectorized ``repr``."""
+    out_dir = os.environ.get("RUNSHIFT_OUT_DIR", ".")
+    path = args.out or os.path.join(out_dir, f"{stem}.{args.out_format}")
     as_json = args.out_format == "json"
     cols = [np.asarray(col) for col in columns.values()]
     with open(path, "w", newline="\n") as fh:
@@ -253,7 +254,7 @@ def _cmd_eta(args) -> int:
     eta = make_eta(*parse_family(args.family), args.nmax)
     table = sequence_table(eta)
     meta = {"command": "eta", "family": args.family, "nmax": args.nmax}
-    return _write_table(args, "eta.csv", meta, table, f"{eta.n_max} rows, W={eta.W()!r}")
+    return _write_table(args, "eta", meta, table, f"{eta.n_max} rows, W={eta.W()!r}")
 
 
 def _cmd_fixed_point(args) -> int:
@@ -278,7 +279,7 @@ def _cmd_fixed_point(args) -> int:
                          f"so --nmax must be at least {exc.required}") from None
     res = residual(a, image)
     pad = np.full(a.size - res.size, np.nan)  # where (Ra)_n needs a_i past n_max
-    return _write_table(args, f"fixed_point_type{fields['type']}.csv", meta,
+    return _write_table(args, f"fixed_point_type{fields['type']}", meta,
                         {"n": np.arange(2, a.size + 2), "a": a,
                          "Ra": np.concatenate([image, pad]),
                          "residual": np.concatenate([res, pad])},
@@ -294,7 +295,7 @@ def _cmd_apply(args) -> int:
         raise ValueError(f"{args.infile}: rows n=2..{a.size + 1} are too few, "
                          f"(Ra)_2 needs a_{exc.required}") from None
     meta = {"command": "apply", **fields, "in": args.infile}
-    return _write_table(args, "applied.csv", meta, {"n": np.arange(2, image.size + 2), "a": image},
+    return _write_table(args, "applied", meta, {"n": np.arange(2, image.size + 2), "a": image},
                         f"{image.size} rows")
 
 
@@ -303,13 +304,13 @@ def _cmd_integrate(args) -> int:
     cm = CantorMeasure(ds)
     value, bound = quadrature(cm, args.n, depth=args.depth)
     meta = {"command": "integrate", "k": args.k, "digits": args.digits,
-            "n": args.n, "depth": _depth_field(args.depth), "alpha": cm.alpha}
+            "n": args.n, "depth": _depth_field(args.depth), "alpha": cm.ds.hausdorff_alpha}
     columns = {"n": [args.n], "I": [value], "bound": [bound]}
     if args.mc is not None:
         est, stderr = monte_carlo_integral(cm, args.n, args.mc, args.seed)
         meta.update({"mc_samples": args.mc, "seed": args.seed})
         columns.update({"mc": [est], "mc_stderr": [stderr]})
-    return _write_table(args, "integral.csv", meta, columns,
+    return _write_table(args, "integral", meta, columns,
                         f"I({args.n})={value!r} +- {bound!r}")
 
 
@@ -354,7 +355,7 @@ def _cmd_decay(args) -> int:
         table["C_mc"] = mc["estimate"][1:]
         table["mc_stderr"] = mc["stderr"][1:]
         table["eps_trunc"] = np.full(args.qmax, chain.eps_trunc)
-    return _write_table(args, "decay.csv", meta, table, f"eps_trunc={chain.eps_trunc!r}")
+    return _write_table(args, "decay", meta, table, f"eps_trunc={chain.eps_trunc!r}")
 
 
 def _cmd_inverse(args) -> int:
@@ -368,7 +369,7 @@ def _cmd_inverse(args) -> int:
     rel = float(rel_err.max())
     meta = {"command": "inverse", "target": args.target, "qmax": args.qmax,
             "shift": 1, "max_rel_err": rel}
-    return _write_table(args, "inverse.csv", meta,
+    return _write_table(args, "inverse", meta,
                         {"q": q, "d": d[:-1], "eta": eta.values[: args.qmax],
                          "D": dq, "d_shift": d[1:], "rel_err": rel_err},
                         f"shift delta=1, max rel err {rel!r}")
@@ -403,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, run, help):
         p = sub.add_parser(name, help=help, fromfile_prefix_chars="@")
         p.convert_arg_line_to_args = _file_args  # @FILE is read after the subcommand only
-        p.add_argument("--out", help="output path (default: RUNSHIFT_OUT_DIR)")
+        p.add_argument("--out", help="output path (default: a file named after the command "
+                       "and --out-format, in RUNSHIFT_OUT_DIR or the current directory)")
         p.add_argument("--out-format", choices=["csv", "json"], default="csv")
         p.set_defaults(run=run)
         return p

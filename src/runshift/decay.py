@@ -50,12 +50,17 @@ def renewal_series(eta: EtaSequence, qmax: int) -> dict:
         raise ValueError("qmax must be at least 1")
     if qmax + 1 > eta.n_max:
         raise ValueError(f"qmax={qmax} needs n_max >= {qmax + 1}")
+    deficits, forcing = _deficits(eta, qmax)
+    return {"q": np.arange(1, qmax + 1), "A": 0.5 - deficits, "V": deficits, "K": forcing,
+            "D": eta.double_tail_grid()[1 : qmax + 1]}
+
+
+def _deficits(eta: EtaSequence, qmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V, K) for lags 1..qmax, from the tail grid alone."""
     w = eta.W()
     t = eta.tail_grid()  # t[m-1] = T(m)
     forcing = 0.5 * t[:qmax] / w - t[1 : qmax + 1] / w
-    deficits = _lagged_solve(eta.values[:qmax] / w, forcing)
-    return {"q": np.arange(1, qmax + 1), "A": 0.5 - deficits, "V": deficits, "K": forcing,
-            "D": eta.double_tail_grid()[1 : qmax + 1]}
+    return _lagged_solve(eta.values[:qmax] / w, forcing), forcing
 
 
 def iterates_from_run(eta: EtaSequence, s: int, qmax: int) -> np.ndarray:
@@ -69,7 +74,7 @@ def iterates_from_run(eta: EtaSequence, s: int, qmax: int) -> np.ndarray:
         raise ValueError(f"qmax must be at least 1, got {qmax}")
     if s + qmax > eta.n_max + 1:
         raise ValueError(f"s + qmax = {s + qmax} needs n_max >= {s + qmax - 1}")
-    deficits = renewal_series(eta, max(qmax - 1, 1))["V"]
+    deficits = _deficits(eta, max(qmax - 1, 1))[0]
     t = eta.tail_grid()
     ts = t[s - 1]
     ratios = eta.values[s - 1 : s + qmax - 1] / ts  # eta_{s+j-1}/T(s), j = 1..qmax

@@ -5,7 +5,9 @@ run of length q >= 2 (either symbol), beta log eta_1 - log W(beta) on
 length-one runs, and zero at the two fixed points.  At beta = 1 its
 transfer operator has the explicit eigenfunction r(q) = T(q)/eta_q on run
 cylinders, eigenmeasure rho with cylinder masses eta_q, and equilibrium
-measure mu with raw cylinder masses T(q); the normalized Jacobian
+measure mu with raw cylinder masses T(q), certified by eta.tail(q, tol),
+and normalization Z = 2 D(0), certified by 2 * eta.double_tail(0, tol);
+equilibrium_table lists the normalized masses T(q)/Z.  The normalized Jacobian
 
     J = continue with T(q)/T(q-1),  switch with eta_q/T(q)
 
@@ -35,8 +37,6 @@ __all__ = [
     "ZERO_THEN_ONES",
     "potential_value",
     "eigenfunction",
-    "equilibrium_cylinder",
-    "equilibrium_normalization",
     "zero_cylinder_mass",
     "jacobian",
     "check_normalization",
@@ -161,25 +161,6 @@ def eigenfunction(
     return value
 
 
-def equilibrium_normalization(eta: EtaSequence, tol: float | None = None) -> float:
-    """Z = 2 sum_m m eta_m, the total raw mass of all run cylinders."""
-    return 2.0 * eta.double_tail(0, tol)
-
-
-def equilibrium_cylinder(
-    q: int, eta: EtaSequence, normalized: bool = False, tol: float | None = None
-) -> float:
-    """Equilibrium mass of a run-q cylinder: T(q) raw, or T(q)/Z normalized.
-
-    Normalization requires a finite first moment and makes the masses of
-    the 0-cylinder and the 1-cylinder each exactly one half.
-    """
-    raw = eta.tail(q, tol)
-    if not normalized:
-        return raw
-    return raw / equilibrium_normalization(eta, tol)
-
-
 def zero_cylinder_mass(eta: EtaSequence) -> float:
     """Normalized equilibrium mass of the 0-cylinder, as a cylinder sum.
 
@@ -257,7 +238,7 @@ def equilibrium_table(eta: EtaSequence, qmax: int) -> dict:
     q = np.arange(1, qmax + 1)
     rho = eta.values[:qmax]
     mu_raw = eta.tail_grid()[:qmax]
-    z = equilibrium_normalization(eta)
+    z = 2.0 * eta.double_tail(0)  # Z = 2 sum_n n eta_n, the raw mass of all run cylinders
     r = 1.0 + eta.tail_grid()[1 : qmax + 1] / rho
     j_l = np.append(np.nan, eta.ratios(1, qmax)[0][:-1])  # T(q)/T(q-1), as jacobian reads it
     return {

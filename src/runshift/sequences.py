@@ -111,22 +111,14 @@ class TailModel:
     sum_{n>=m} eta_n and sum_{n>=m} (n-m) eta_n: by integral comparison for
     monotone families (_IntegralTail), exact (lo == hi) for geometric and
     target-profile models.  ``powered(beta)`` returns the model for
-    eta_n^beta where that is available.  ``value(n)`` gives eta_n at an
+    eta_n^beta, or None where there is none.  ``value(n)`` gives eta_n at an
     index or, for the analytic families, at an array of indices; make_eta
     takes the stored values from it.  Every model is a frozen dataclass with
     a ``scale`` field, which the shared ``scaled(c)`` multiplies by c.
     """
 
-    def sum_tail(self, m: int) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def weighted_tail(self, m: int) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def powered(self, beta: float) -> "TailModel":
-        if beta == 1.0:
-            return self
-        raise ToleranceError("tail model does not certify powered sums")
+    def powered(self, beta: float) -> "TailModel | None":
+        return self if beta == 1.0 else None
 
     def scaled(self, c: float) -> "TailModel":
         return replace(self, scale=self.scale * c)
@@ -290,11 +282,14 @@ class EtaSequence:
 
     def _model_tail(self, m: int, beta: float | None = 1.0) -> tuple[float, float]:
         """The tail model's (bracket midpoint, half-width) of sum_{n>=m} eta_n^beta, or of
-        D(m) = sum_{n>=m} (n-m) eta_n when beta is None; (0, inf) without a model or a
-        finite bracket.  At m = n_max + 1 it is the far end of the matching grid."""
+        D(m) = sum_{n>=m} (n-m) eta_n when beta is None; (0, inf) without a model (for
+        eta^beta, model.powered(beta)) or a finite bracket.  At m = n_max + 1 it is the far
+        end of the matching grid."""
         model, hi = self.tail_model, math.inf
+        if model is not None and beta is not None:
+            model = model.powered(beta)
         if model is not None:
-            lo, hi = model.weighted_tail(m) if beta is None else model.powered(beta).sum_tail(m)
+            lo, hi = model.weighted_tail(m) if beta is None else model.sum_tail(m)
         if not math.isfinite(hi):
             return 0.0, math.inf
         return 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -32,7 +32,6 @@ def lebesgue3():
 class TestDigitGeometry:
     def test_hausdorff_exponent(self, middle_thirds):
         assert middle_thirds.ds.hausdorff_alpha == pytest.approx(LOG2_LOG3, abs=1e-15)
-        assert middle_thirds.alpha == middle_thirds.ds.hausdorff_alpha
 
     def test_sup(self, middle_thirds, lebesgue3):
         assert middle_thirds.ds.sup == 1.0
@@ -85,7 +84,8 @@ class TestQuadrature:
         vals, _ = quadrature_values(middle_thirds, ns, depth=14)
         assert np.all(np.diff(vals) < 0.0)
         # n^alpha I(n) -> 1
-        assert 1000.0**middle_thirds.alpha * vals[-1] == pytest.approx(1.0, rel=0.01, abs=0)
+        alpha = middle_thirds.ds.hausdorff_alpha
+        assert 1000.0**alpha * vals[-1] == pytest.approx(1.0, rel=0.01, abs=0)
 
     def test_singularity_rejected(self, middle_thirds):
         with pytest.raises(ValueError):
@@ -98,6 +98,10 @@ class TestQuadrature:
         cm = CantorMeasure(DigitSystem(5, (0, 3)))
         with pytest.raises(ValueError, match="singularity"):
             quadrature_values(cm, [1], 8)
+
+    def test_negative_depth_rejected(self, middle_thirds):
+        with pytest.raises(ValueError, match="depth must be a nonnegative integer, got -1"):
+            quadrature_values(middle_thirds, [2], -1)
 
     def test_cl_equals_k_allowed_with_adjusted_bound(self):
         cm = CantorMeasure(DigitSystem(3, (0, 3)))
@@ -143,11 +147,11 @@ def _direct_midpoint_sum(cm, n, depth):
     units with the product by alpha, and 8 more.  fsum rounds once and the
     division by l^D once.
     """
-    sup = cm.ds.sup
+    sup, alpha = cm.ds.sup, cm.ds.hausdorff_alpha
     x = float(n) - cm.prefix_points(depth) - sup * cm.ds.k ** (-float(depth)) / 2.0
-    value = math.fsum(np.exp(-cm.alpha * np.log(x)).tolist()) / x.size
+    value = math.fsum(np.exp(-alpha * np.log(x)).tolist()) / x.size
     log_x = max(abs(math.log(n - sup)), math.log(n))
-    rel = cm.alpha * ((depth + 5) * sup + 2 * n) / (n - sup) + 9 * cm.alpha * log_x + 10
+    rel = alpha * ((depth + 5) * sup + 2 * n) / (n - sup) + 9 * alpha * log_x + 10
     return value, rel * U * value
 
 
@@ -210,7 +214,7 @@ class TestMomentSeries:
         mpmath = pytest.importorskip("mpmath")  # only this test needs the test extra
         cm = CantorMeasure(DigitSystem(k, digits))
         values, bounds = quadrature_values(cm, ns)
-        for v, b, ref in zip(values, bounds, _mp_integral(cm.ds, cm.alpha, ns)):
+        for v, b, ref in zip(values, bounds, _mp_integral(cm.ds, cm.ds.hausdorff_alpha, ns)):
             assert abs(mpmath.mpf(v) - ref) <= b
             assert b <= 1e-13 * v
 
@@ -267,7 +271,7 @@ class TestMonteCarlo:
         x = (3.0 - table[cells]
              - table[(cells + shifts[:, :1]) % size] * 3.0**-13
              - table[(cells + shifts[:, 1:]) % size] * 3.0**-26)  # n - t
-        f = np.exp(-middle_thirds.alpha * np.log(x))
+        f = np.exp(-middle_thirds.ds.hausdorff_alpha * np.log(x))
         assert est == pytest.approx(f.mean(), rel=1e-14, abs=0)
         assert se == pytest.approx(f.mean(axis=1).std(ddof=1) / math.sqrt(passes), rel=1e-12, abs=0)
 
@@ -375,7 +379,7 @@ def sequential_monte_carlo(cm, n, samples, seed):
         x = n - table
         for w, r in zip(weights[1:], row):
             x = x - np.roll(table, -r) * w  # cell j takes table[(j + r) mod size]
-        means.append(np.sum(np.exp(-cm.alpha * np.log(x))) / size)
+        means.append(np.sum(np.exp(-cm.ds.hausdorff_alpha * np.log(x))) / size)
     means = np.array(means)
     return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(passes)
 
@@ -402,7 +406,7 @@ def sliced_monte_carlo(cm, n, samples, seed, slice_size=1 << 14):
                     x -= block[r + lo:r + hi]
             x = batch[:, lo:hi]
             np.log(x, out=x)
-            np.multiply(x, -cm.alpha, out=x)
+            np.multiply(x, -cm.ds.hausdorff_alpha, out=x)
             np.exp(x, out=x)
         np.sum(batch, axis=1, out=means[first:stop])
     means /= size

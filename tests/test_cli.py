@@ -473,11 +473,13 @@ class TestPlumbing:
     def test_missing_subcommand_exits_two(self):
         assert main([]) == 2
 
-    def test_env_var_default_dir(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_env_var_default_dir(self, tmp_path, monkeypatch, fmt):
+        # the default file is named by the command and the format it holds
         monkeypatch.setenv("RUNSHIFT_OUT_DIR", str(tmp_path))
-        rc = main(["eta", "--family", "geometric:0.5", "--nmax", "16"])
+        rc = main(["eta", "--family", "geometric:0.5", "--nmax", "16", "--out-format", fmt])
         assert rc == 0
-        assert (tmp_path / "eta.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [f"eta.{fmt}"]
 
     def test_config_file_defaults_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -738,6 +740,9 @@ class TestBadInput:
         (["fixed-point", "--type2", "--k", str(2**63 - 1), "--digits", f"0,{2**63 - 2}"],
          f"--k {2**63 - 1} is too large: (Ra)_2 needs a_{2**64 - 2}, past the greatest "
          f"--nmax {2**59}, so no --nmax can serve it"),
+        # each operator type's own required flag
+        (["fixed-point", "--type1", "--k", "2"], "--type1 needs --a2"),
+        (["fixed-point", "--type2", "--k", "3"], "--type2 needs --digits"),
     ])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, cause):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -48,6 +48,15 @@ class TestRenewalRecursion:
         ser = renewal_series(eta, 1000)
         assert np.max(np.abs(ser["V"] - (0.5 - ser["A"]))) < 1e-12
 
+    @pytest.mark.parametrize("qmax,cause", [
+        (0, "qmax must be at least 1"),
+        (200, "qmax=200 needs n_max >= 201"),
+    ])
+    def test_qmax_out_of_range_rejected(self, qmax, cause):
+        eta = make_eta("power", {"gamma": 3.0}, 200)
+        with pytest.raises(ValueError, match=cause):
+            renewal_series(eta, qmax)
+
     def test_iterates_in_unit_interval_and_converge(self, power3):
         a = renewal_series(power3, 2048)["A"]
         assert np.all((a > 0.0) & (a < 1.0))
@@ -86,11 +95,18 @@ class TestIteratesFromRun:
         (1, 0, "qmax must be at least 1, got 0"),
         (1, -3, "qmax must be at least 1, got -3"),
         (3, 600, "s \\+ qmax = 603 needs n_max >= 602"),
+        (0, 4, "run length s must be at least 1"),
     ])
     def test_bad_range_names_the_argument(self, s, qmax, cause):
         eta = make_eta("power", {"gamma": 3.0}, 200)
         with pytest.raises(ValueError, match=cause):
             iterates_from_run(eta, s, qmax)
+
+    def test_builds_no_double_tail_grid(self):
+        # the iterates need V alone, so a fresh sequence caches no D grid (key None)
+        eta = make_eta("power", {"gamma": 3.0}, 200)
+        iterates_from_run(eta, 4, 64)
+        assert None not in eta._grids
 
     def test_values_in_unit_interval(self, stretched_half):
         for s in (1, 2, 4, 8):

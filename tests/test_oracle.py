@@ -5,7 +5,6 @@ from runshift import (
     ToleranceError,
     build_chain,
     correlation,
-    equilibrium_cylinder,
     iterates_from_run,
     make_eta,
     occupation_sweep,
@@ -294,6 +293,14 @@ class TestSamplePaths:
         chain = build_chain(geometric_half, 32)
         with pytest.raises(ValueError, match=f"n_paths must be at least 2.*got {n_paths}"):
             sample_paths(chain, length=3, n_paths=n_paths, seed=9)
+
+    @pytest.mark.parametrize("M,length,cause", [
+        (1, 3, "truncation level M must be at least 2"),
+        (32, 0, "path length must be at least 1, got 0"),
+    ])
+    def test_size_below_its_floor_rejected(self, geometric_half, M, length, cause):
+        with pytest.raises(ValueError, match=cause):
+            sample_paths(build_chain(geometric_half, M), length=length, n_paths=4, seed=9)
 
 
 class TestStep:

@@ -14,8 +14,6 @@ from runshift import (
     check_normalization,
     decay_profile,
     eigenfunction,
-    equilibrium_cylinder,
-    equilibrium_normalization,
     equilibrium_table,
     inner_zeros,
     inverse_design,
@@ -221,7 +219,7 @@ class TestEigenfunction:
     def test_eigenfunction_times_eta_is_cylinder_mass(self, power3):
         for n in (1, 2, 5, 40):
             lhs = eigenfunction(lead_zeros(n), power3) * power3.eta(n)
-            assert lhs == pytest.approx(equilibrium_cylinder(n, power3), rel=1e-10, abs=0)
+            assert lhs == pytest.approx(power3.tail(n), rel=1e-10, abs=0)
 
 
 class TestMeasures:
@@ -231,13 +229,12 @@ class TestMeasures:
 
     def test_geometric_normalized_cylinder(self, geometric_half):
         # T(2) = 1, Z = 8
-        assert equilibrium_normalization(geometric_half) == pytest.approx(8.0, rel=1e-14, abs=0)
-        assert equilibrium_cylinder(2, geometric_half, normalized=True) == pytest.approx(
-            0.125, rel=1e-14, abs=0
-        )
+        assert 2.0 * geometric_half.double_tail(0) == pytest.approx(8.0, rel=1e-14, abs=0)
+        mu_norm = equilibrium_table(geometric_half, 2)["mu_norm"]
+        assert mu_norm[1] == pytest.approx(0.125, rel=1e-14, abs=0)
 
     def test_unnormalized_unit_cylinder_is_weight(self, power3):
-        assert equilibrium_cylinder(1, power3) == power3.W()
+        assert equilibrium_table(power3, 1)["mu_raw"][0] == power3.W()
 
     def test_cylinders_sum_to_one(self, power3):
         # both symbols: 2 * (sum_q T(q)) / Z = 1
@@ -249,9 +246,9 @@ class TestMeasures:
 
     def test_infinite_first_moment_rejected(self):
         eta = make_eta("power", {"gamma": 1.5}, 100)
-        assert equilibrium_cylinder(3, eta) > 0.0  # raw value fine
+        assert eta.tail(3) > 0.0  # raw value fine
         with pytest.raises(NotSummableError):
-            equilibrium_cylinder(3, eta, normalized=True)
+            equilibrium_table(eta, 3)
 
 
 class TestJacobian:

@@ -189,6 +189,16 @@ class TestBlockFixedPoint:
         with pytest.raises(ValueError, match=r"n \+ alpha\(n\) - 1 <= 0 at n = 2$"):
             renorm1_fixed_point(3, -40.0, 100)
 
+    @pytest.mark.parametrize("call,cause", [
+        (lambda: renorm1_apply(np.zeros(8), 1), "k must be at least 2"),
+        (lambda: renorm1_fixed_point(1, -0.5, 100), "k must be at least 2"),
+        (lambda: renorm1_fixed_point(2, -0.5, 1), "n_max must be at least 2"),
+        (lambda: renorm2_fixed_point(DigitSystem(3, (0, 2)), 1), "n_max must be at least 2"),
+    ], ids=["apply-k", "fixed-point-k", "fixed-point-n_max", "digit-fixed-point-n_max"])
+    def test_size_below_its_floor_rejected(self, call, cause):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            call()
+
     def test_positive_a2_rejected(self):
         with pytest.raises(ValueError):
             renorm1_fixed_point(2, 0.1, 100)

@@ -15,7 +15,7 @@ from runshift import (
     parse_family,
     sequence_table,
 )
-from runshift.sequences import FAMILIES, GeometricTail, _upper_gamma
+from runshift.sequences import FAMILIES, GeometricTail, _upper_gamma, target_grid
 
 
 class TestMakeEta:
@@ -62,6 +62,24 @@ class TestMakeEta:
     def test_values_must_decrease(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             EtaSequence(np.array([1.0, 0.5, 0.7, 0.1] + [0.05] * 8))
+
+    @pytest.mark.parametrize("call,error,cause", [
+        (lambda: EtaSequence(np.array([1.0])), ValueError, "eta needs at least two stored values"),
+        (lambda: EtaSequence(np.array([1.0, 0.0])), ValueError, "eta_2 is not positive"),
+        (lambda: EtaSequence(np.array([1.0, 0.5])).eta(0), ValueError, "indices start at 1"),
+        (lambda: EtaSequence(np.array([1.0, 0.5])).eta(3), ToleranceError,
+         "eta_3 is beyond the stored cutoff 2"),
+        (lambda: EtaSequence(np.array([1.0, 0.5])).tail(0), ValueError, "indices start at 1"),
+        (lambda: EtaSequence(np.array([1.0, 0.5])).double_tail(-1), ValueError,
+         "q must be nonnegative"),
+        (lambda: EtaSequence(np.array([1.0, 0.5])).scaled(0.0), ValueError,
+         "scale must be positive"),
+        (lambda: make_eta("cubic", {"gamma": 3.0}, 100), ValueError, "unknown family 'cubic'"),
+    ], ids=["one-value", "zero-value", "eta-0", "eta-past-cutoff", "tail-0", "double-tail-neg",
+            "scaled-0", "unknown-family"])
+    def test_bad_argument_names_the_cause(self, call, error, cause):
+        with pytest.raises(error, match=f"^{cause}$"):
+            call()
 
 
 class TestTails:
@@ -219,6 +237,16 @@ class TestPoweredSums:
         direct = float(np.sum((stretched_half.values[::-1]) ** 2.0))
         assert stretched_half.W(2.0) == pytest.approx(direct, rel=1e-12, abs=0)
 
+    def test_uncertified_powered_sum_raises_only_with_tol(self):
+        # the target model has no powered form: like a sequence without a model, its
+        # powered sum is the grid's, certified only to inf
+        eta = inverse_design(decay_profile("power:2"), 50)
+        assert eta.tail_model.powered(0.5) is None
+        assert eta.W(0.5) == eta.tail_grid(0.5)[0]
+        assert eta.tail_error(0.5) == math.inf
+        with pytest.raises(ToleranceError, match=r"sum eta\^0.5 from 1 certified only to inf"):
+            eta.W(0.5, tol=1.0)
+
 
 class TestScaleInvariance:
     @pytest.mark.parametrize("fam,params", [
@@ -288,6 +316,15 @@ class TestInverseDesign:
         for q in range(10, 101, 10):
             target = (q + 1.0) ** -2.0
             assert abs(eta.double_tail(q) - target) / target < 0.01
+
+    @pytest.mark.parametrize("call,cause", [
+        (lambda: target_grid(decay_profile("power:2"), 1), "qmax must be at least 2"),
+        (lambda: inverse_design(lambda q: 1.0 - q / 8.0, 2),
+         "target profile is not positive at q=8"),
+    ], ids=["target-grid-qmax", "nonpositive-target"])
+    def test_bad_target_names_the_cause(self, call, cause):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            call()
 
     def test_nonmonotone_rejection_names_index(self):
         def d(q):
